@@ -15,7 +15,7 @@ from .circuit import Circuit, CircuitParseError
 from .numtheory import U64_LIMIT
 from .qft import apply_qft
 from .shor import ShorConfig, build_period_state, run_shor
-from .state import DEFAULT_MAX_QUBITS, basis_state
+from .state import DEFAULT_MAX_QUBITS, basis_state, sample_indices
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -135,12 +135,9 @@ def cmd_circuit_run(args) -> int:
     # independent inverse-CDF draw from it, exactly as if the state were
     # re-prepared and measured afresh.
     state = circuit.run(basis_state(circuit.width, args.init))
-    probs = state.probabilities()
-    cdf = np.cumsum(probs)
     rng = np.random.default_rng(args.seed)
-    draws = np.searchsorted(cdf, rng.random(args.shots), side="right")
-    draws = np.minimum(draws, probs.size - 1)
-    counts = np.bincount(draws, minlength=probs.size)
+    draws = sample_indices(state.probabilities(), rng.random(args.shots))
+    counts = np.bincount(draws, minlength=1 << circuit.width)
 
     rows = ["outcome,count"]
     for outcome in np.flatnonzero(counts):

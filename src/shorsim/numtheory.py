@@ -180,7 +180,7 @@ def is_probable_prime(n: int) -> bool:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:

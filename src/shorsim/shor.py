@@ -145,6 +145,17 @@ def _full_run_gate_estimate(n: int) -> int:
     return n + 1 + n * (n + 1) // 2 + n // 2
 
 
+def _recover(record: RunRecord, n_to_factor: int) -> RunRecord:
+    """Fill in the convergents of ``record.y / 2**record.n`` and any verified period."""
+    m = 1 << record.n
+    record.convergents = continued_fraction_convergents(record.y, m)
+    candidate = recover_period(record.y, m, n_to_factor, record.a)
+    if candidate is not None:
+        record.candidate_r = candidate.r
+        record.status = STATUS_PERIOD_FOUND
+    return record
+
+
 def run_once_full(
     n_to_factor: int,
     a: int,
@@ -179,13 +190,7 @@ def run_once_full(
     apply_qft_on(state, range(in_w))
     y = state.measure_subregister(range(in_w), rng).value
 
-    record = RunRecord(a=a, n=in_w, y=y, f_outcome=f_outcome)
-    record.convergents = continued_fraction_convergents(y, 1 << in_w)
-    candidate = recover_period(y, 1 << in_w, n_to_factor, a)
-    if candidate is not None:
-        record.candidate_r = candidate.r
-        record.status = STATUS_PERIOD_FOUND
-    return record
+    return _recover(RunRecord(a=a, n=in_w, y=y, f_outcome=f_outcome), n_to_factor)
 
 
 def run_once_hybrid(
@@ -211,13 +216,7 @@ def run_once_hybrid(
     apply_qft_on(state, range(in_w))
     y = state.measure_all(rng).value
 
-    record = RunRecord(a=a, n=in_w, y=y)
-    record.convergents = continued_fraction_convergents(y, 1 << in_w)
-    candidate = recover_period(y, 1 << in_w, n_to_factor, a)
-    if candidate is not None:
-        record.candidate_r = candidate.r
-        record.status = STATUS_PERIOD_FOUND
-    return record
+    return _recover(RunRecord(a=a, n=in_w, y=y), n_to_factor)
 
 
 def run_once_classical(n_to_factor: int, a: int) -> RunRecord:

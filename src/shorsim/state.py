@@ -6,9 +6,12 @@ is bit ``j`` of the basis index, so qubit 0 is the least-significant bit:
 ``basis_state(3, 5)`` is ``|101>`` with qubits 0 and 2 set.
 
 Gate application mutates the state in place and returns it, so calls chain.
+Single-qubit, controlled and two-qubit gates all run through one kernel that
+updates strided views of the amplitude array, with no index tables.
 Measurement draws a single uniform variate from an injected
-``numpy.random.Generator`` and walks the inverse CDF of the (marginal)
-probability array; a fixed seed therefore reproduces a run bit for bit.
+``numpy.random.Generator`` and maps it through ``sample_indices``, the inverse
+CDF of the (marginal) probability array; a fixed seed therefore reproduces a
+run bit for bit.
 
 States are exclusively owned while mutated.  ``probabilities`` and
 ``inner_product`` are read-only and safe to call concurrently on a shared
@@ -35,6 +38,17 @@ def _check_width(n: int, max_qubits: int) -> None:
             f"{n} qubits would need 2**{n} amplitudes ({need} bytes); "
             f"cap is {max_qubits} qubits (pass max_qubits to override)"
         )
+
+
+def sample_indices(weights, u):
+    """Inverse-CDF draw: for each uniform variate in ``u``, the index it falls on.
+
+    Index ``i`` covers ``[cdf[i-1], cdf[i])``.  A variate at or past the
+    rounded total lands on the last index of nonzero weight, so a zero-weight
+    index is never returned.  ``u`` may be a scalar or an array.
+    """
+    cdf = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), np.searchsorted(cdf, cdf[-1]))
 
 
 class MeasurementOutcome:
@@ -105,12 +119,6 @@ class BasisPermutation:
         return f"BasisPermutation(num_qubits={self.num_qubits})"
 
 
-def _insert_zero_bit(idx, pos: int):
-    """Widen indices by one bit, leaving bit ``pos`` clear."""
-    low = idx & ((1 << pos) - 1)
-    return ((idx >> pos) << (pos + 1)) | low
-
-
 class QuantumState:
     """State vector of ``num_qubits`` qubits."""
 
@@ -138,50 +146,57 @@ class QuantumState:
         if not 0 <= q < self.num_qubits:
             raise ValueError(f"qubit index {q} out of range for {self.num_qubits} qubits")
 
+    def _apply(self, matrix, targets, controls=frozenset()) -> "QuantumState":
+        """Apply ``matrix`` to ``targets`` where every control bit is 1, in place.
+
+        Bit ``i`` of the matrix row/column index is qubit ``targets[i]``.  The
+        amplitudes are viewed as a ``(2,)*n`` array whose axis ``n-1-q`` holds
+        qubit ``q``; fixing the controls to 1 and the targets to each bit
+        pattern ``s`` by basic indexing gives ``2**k`` strided views, and row
+        ``s`` is written back as ``m[s,0]*part[0] + m[s,1]*part[1] + ...``.
+        """
+        for t in targets:
+            if t in controls:
+                raise ValueError(f"control and target overlap on qubit {t}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"two-qubit gate needs distinct qubits, got {targets[0]} twice")
+        for q in (*controls, *targets):
+            self._check_qubit(q)
+
+        n = self.num_qubits
+        view = self.amplitudes.reshape((2,) * n)
+        index = [slice(None)] * n
+        for c in controls:
+            index[n - 1 - c] = 1
+        parts = []
+        for s in range(len(matrix)):
+            for i, t in enumerate(targets):
+                index[n - 1 - t] = (s >> i) & 1
+            parts.append(view[(*index, ...)])
+        rows = []
+        for row in matrix:
+            acc = row[0] * parts[0]
+            for coef, part in zip(row[1:], parts[1:]):
+                acc += coef * part
+            rows.append(acc)
+        for part, acc in zip(parts, rows):
+            part[...] = acc
+        return self
+
     def apply_single(self, gate: Gate2, target: int) -> "QuantumState":
         """Apply a 2x2 unitary to ``target``; all paired amplitudes update in place."""
         if not isinstance(gate, Gate2):
             gate = Gate2(gate)
-        self._check_qubit(target)
-        g = gate.matrix
-        # View pairs of amplitudes whose indices differ in bit `target`.
-        a = self.amplitudes.reshape(-1, 2, 1 << target)
-        a0 = g[0, 0] * a[:, 0, :] + g[0, 1] * a[:, 1, :]
-        a1 = g[1, 0] * a[:, 0, :] + g[1, 1] * a[:, 1, :]
-        a[:, 0, :] = a0
-        a[:, 1, :] = a1
-        return self
+        return self._apply(gate.matrix, (target,))
 
     def apply_controlled(self, gate: Gate2, controls, target: int) -> "QuantumState":
         """Apply ``gate`` to ``target`` inside the subspace where every control bit is 1.
 
         ``controls`` may be empty, which degenerates to ``apply_single``.
         """
-        controls = frozenset(int(c) for c in controls)
-        if not controls:
-            return self.apply_single(gate, target)
         if not isinstance(gate, Gate2):
             gate = Gate2(gate)
-        if target in controls:
-            raise ValueError(f"control and target overlap on qubit {target}")
-        for c in controls:
-            self._check_qubit(c)
-        self._check_qubit(target)
-
-        positions = sorted(controls | {target})
-        base = np.arange(1 << (self.num_qubits - len(positions)), dtype=np.int64)
-        for p in positions:
-            base = _insert_zero_bit(base, p)
-        for c in controls:
-            base = base | (1 << c)
-        i1 = base | (1 << target)
-        g = gate.matrix
-        amps = self.amplitudes
-        a0 = amps[base]
-        a1 = amps[i1]
-        amps[base] = g[0, 0] * a0 + g[0, 1] * a1
-        amps[i1] = g[1, 0] * a0 + g[1, 1] * a1
-        return self
+        return self._apply(gate.matrix, (target,), frozenset(int(c) for c in controls))
 
     def apply_two_qubit(self, gate: Gate4, qa: int, qb: int) -> "QuantumState":
         """Apply a 4x4 unitary to the (qa, qb) pair.
@@ -191,21 +206,7 @@ class QuantumState:
         """
         if not isinstance(gate, Gate4):
             gate = Gate4(gate)
-        if qa == qb:
-            raise ValueError(f"two-qubit gate needs distinct qubits, got {qa} twice")
-        self._check_qubit(qa)
-        self._check_qubit(qb)
-
-        base = np.arange(1 << (self.num_qubits - 2), dtype=np.int64)
-        for p in sorted((qa, qb)):
-            base = _insert_zero_bit(base, p)
-        idx = [base | ((s & 1) << qa) | ((s >> 1) << qb) for s in range(4)]
-        amps = self.amplitudes
-        vec = np.stack([amps[i] for i in idx])
-        out = gate.matrix @ vec
-        for s in range(4):
-            amps[idx[s]] = out[s]
-        return self
+        return self._apply(gate.matrix, (qa, qb))
 
     def apply_permutation(self, perm: BasisPermutation) -> "QuantumState":
         """Relabel basis states: the amplitude at x moves to perm(x).  Exact."""
@@ -247,10 +248,7 @@ class QuantumState:
         outcome can never be sampled.
         """
         probs = self.probabilities()
-        cdf = np.cumsum(probs)
-        u = rng.random()
-        idx = int(np.searchsorted(cdf, u, side="right"))
-        idx = min(idx, probs.size - 1)
+        idx = int(sample_indices(probs, rng.random()))
         p = float(probs[idx])
         self.amplitudes = np.zeros_like(self.amplitudes)
         self.amplitudes[idx] = 1.0
@@ -275,10 +273,7 @@ class QuantumState:
             key |= ((idx >> q) & 1) << i
         probs = self.probabilities()
         marginal = np.bincount(key, weights=probs, minlength=1 << len(qubits))
-        cdf = np.cumsum(marginal)
-        u = rng.random()
-        outcome = int(np.searchsorted(cdf, u, side="right"))
-        outcome = min(outcome, marginal.size - 1)
+        outcome = int(sample_indices(marginal, rng.random()))
         p = float(marginal[outcome])
         self.amplitudes[key != outcome] = 0.0
         self.amplitudes /= np.sqrt(p)

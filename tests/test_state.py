@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorsim import (
     BasisPermutation,
@@ -15,6 +17,7 @@ from shorsim import (
     tensor_product,
 )
 from shorsim.gates import Gate2, Gate4
+from shorsim.state import sample_indices
 
 from conftest import random_state_vector, random_unitary
 
@@ -356,6 +359,51 @@ class TestMeasureSubregister:
             counts[state_from(amps).measure_subregister([0, 2], stream).value] += 1
         sigma = np.sqrt(marginal * (1 - marginal) / draws)
         assert np.all(np.abs(counts / draws - marginal) <= 5 * sigma + 1e-12)
+
+
+class StubRng:
+    """Stands in for ``numpy.random.Generator``: every uniform draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+# H on qubit 0 of 2 qubits: the CDF of [1/2, 1/2, 0, 0] ends just below 1
+LAST_DRAW = np.nextafter(1.0, 0.0)
+
+
+class TestSamplerTail:
+    def test_measure_all_past_rounded_total(self):
+        s = basis_state(2, 0).apply_single(hadamard(), 0)
+        assert np.cumsum(s.probabilities())[-1] < LAST_DRAW
+        out = s.measure_all(StubRng(LAST_DRAW))
+        assert out.value == 1
+        assert out.probability > 0
+
+    def test_measure_subregister_past_rounded_total(self):
+        s = basis_state(2, 0).apply_single(hadamard(), 0)
+        out = s.measure_subregister([1], StubRng(LAST_DRAW))
+        assert out.value == 0
+        assert out.probability > 0
+        assert np.all(np.isfinite(s.amplitudes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=12)
+        .filter(lambda head: sum(head) > 0),
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=16),
+    )
+    def test_zero_weight_never_returned(self, head, zeros, draws):
+        weights = np.array(head + [0.0] * zeros) / sum(head)
+        u = np.array(draws + [0.0, 0.5, LAST_DRAW])
+        idx = sample_indices(weights, u)
+        assert np.all(weights[idx] > 0)
+        for v in u:
+            assert weights[int(sample_indices(weights, v))] > 0
 
 
 class TestInnerProduct:
