@@ -37,7 +37,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _transcript_payload(result, config: ShorConfig) -> dict:
     return {
         "n": result.n_to_factor,
-        "mode": config.mode,
+        # the fallback may have run hybrid where full was asked for
+        "mode": result.runs[-1].mode if result.runs else config.mode,
         "seed": config.seed,
         "factors": list(result.factors) if result.factors else None,
         "gate_estimate": result.gate_estimate,

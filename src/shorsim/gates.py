@@ -1,8 +1,9 @@
 """Constructors and validity checks for the concrete gate set.
 
 Gates are immutable values: the matrix is validated as unitary once, at
-construction, and frozen.  The application kernels in :mod:`shorsim.state`
-trust that check and stay branch-free.
+construction, and frozen.  The application kernel in :mod:`shorsim.state`
+trusts that check and never re-validates; it only looks at which entries are
+zero, to move and scale slices for gates with one nonzero per row.
 """
 
 import numpy as np

@@ -55,13 +55,22 @@ def qft_circuit(n: int) -> Circuit:
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
     c = Circuit(n)
+    c.ops = list(_qft_ops(n))
+    return c
+
+
+@lru_cache(maxsize=32)
+def _qft_ops(n: int) -> tuple[circ.GateOp, ...]:
+    # Built and validated once per width; ops are frozen and gate matrices
+    # read-only, so every returned circuit can share them.
+    c = Circuit(n)
     for i in range(n - 1, -1, -1):
         c.append(circ.h(i))
         for m in range(i - 1, -1, -1):
             c.append(circ.cphase(m, i, np.pi / (1 << (i - m))))
     for k in range(n // 2):
         c.append(circ.swap(k, n - 1 - k))
-    return c
+    return tuple(c.ops)
 
 
 def apply_qft_on(state: QuantumState, qubits) -> QuantumState:

@@ -88,6 +88,7 @@ class RunRecord:
     convergents: list[Convergent] = field(default_factory=list)
     candidate_r: int | None = None
     status: str = STATUS_NO_CANDIDATE
+    mode: str = "full"                # the mode that actually ran this attempt
 
 
 @dataclass
@@ -190,7 +191,7 @@ def run_once_full(
     apply_qft_on(state, range(in_w))
     y = state.measure_subregister(range(in_w), rng).value
 
-    return _recover(RunRecord(a=a, n=in_w, y=y, f_outcome=f_outcome), n_to_factor)
+    return _recover(RunRecord(a=a, n=in_w, y=y, f_outcome=f_outcome, mode="full"), n_to_factor)
 
 
 def run_once_hybrid(
@@ -216,7 +217,7 @@ def run_once_hybrid(
     apply_qft_on(state, range(in_w))
     y = state.measure_all(rng).value
 
-    return _recover(RunRecord(a=a, n=in_w, y=y), n_to_factor)
+    return _recover(RunRecord(a=a, n=in_w, y=y, mode="hybrid"), n_to_factor)
 
 
 def run_once_classical(n_to_factor: int, a: int) -> RunRecord:
@@ -224,7 +225,7 @@ def run_once_classical(n_to_factor: int, a: int) -> RunRecord:
     if gcd(a, n_to_factor) != 1:
         raise ValueError(f"base {a} shares a factor with {n_to_factor}")
     r = multiplicative_order(a, n_to_factor)
-    return RunRecord(a=a, n=None, candidate_r=r, status=STATUS_PERIOD_FOUND)
+    return RunRecord(a=a, n=None, candidate_r=r, status=STATUS_PERIOD_FOUND, mode="classical")
 
 
 def _perfect_power_root(n: int) -> int | None:
@@ -291,7 +292,7 @@ def run_shor(config: ShorConfig) -> FactoringResult:
 
         g = gcd(a, n)
         if g > 1:
-            runs.append(RunRecord(a=a, n=None, status=STATUS_LUCKY_GCD))
+            runs.append(RunRecord(a=a, n=None, status=STATUS_LUCKY_GCD, mode=mode))
             return FactoringResult(n, (min(g, n // g), max(g, n // g)), runs, gate_estimate)
 
         if mode == "full":

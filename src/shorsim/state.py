@@ -7,7 +7,9 @@ is bit ``j`` of the basis index, so qubit 0 is the least-significant bit:
 
 Gate application mutates the state in place and returns it, so calls chain.
 Single-qubit, controlled and two-qubit gates all run through one kernel that
-updates strided views of the amplitude array, with no index tables.
+updates strided views of the amplitude array, with no index tables; a gate
+with one nonzero per matrix row (X, CNOT, CCNOT, PHASE, CPHASE, SWAP) only
+moves and scales those views.
 Measurement draws a single uniform variate from an injected
 ``numpy.random.Generator`` and maps it through ``sample_indices``, the inverse
 CDF of the (marginal) probability array; a fixed seed therefore reproduces a
@@ -154,6 +156,11 @@ class QuantumState:
         qubit ``q``; fixing the controls to 1 and the targets to each bit
         pattern ``s`` by basic indexing gives ``2**k`` strided views, and row
         ``s`` is written back as ``m[s,0]*part[0] + m[s,1]*part[1] + ...``.
+
+        A monomial matrix (one nonzero per row: X, CNOT, CCNOT, PHASE, CPHASE,
+        SWAP) moves and scales whole views instead.  The scale is applied
+        scalar-first, ``np.multiply(coef, part, out=part)``, the operand order
+        of the dense formula, so both paths give bitwise equal amplitudes.
         """
         for t in targets:
             if t in controls:
@@ -173,6 +180,18 @@ class QuantumState:
             for i, t in enumerate(targets):
                 index[n - 1 - t] = (s >> i) & 1
             parts.append(view[(*index, ...)])
+        # A unitary has a nonzero in every row, so len(matrix) nonzeros means
+        # exactly one per row.  numpy rounds a one-element in-place product
+        # differently, so a gate on every qubit of the register stays dense.
+        _, cols = np.nonzero(matrix)
+        if parts[0].size > 1 and len(cols) == len(matrix):
+            sources = {c: parts[c].copy() for s, c in enumerate(cols) if c != s}
+            for s, c in enumerate(cols):
+                if c != s:
+                    parts[s][...] = sources[c]
+                if matrix[s, c] != 1:
+                    np.multiply(matrix[s, c], parts[s], out=parts[s])
+            return self
         rows = []
         for row in matrix:
             acc = row[0] * parts[0]

@@ -54,6 +54,16 @@ class TestFactor:
                 "candidate_r", "status",
             }
 
+    def test_transcript_reports_the_hybrid_fallback(self, tmp_path, capsys):
+        # 15 + 8 qubits exceed the cap, so full mode falls back to hybrid
+        out = tmp_path / "runs.json"
+        assert main(["factor", "143", "--seed", "1", "--max-qubits", "20",
+                     "--transcript", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["mode"] == "hybrid"
+        assert all(run["f_outcome"] is None for run in payload["runs"])
+
     def test_hybrid_flag(self, capsys):
         assert main(["factor", "35", "--mode", "hybrid", "--seed", "3"]) == 0
         assert capsys.readouterr().out == "35 = 5 x 7\n"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shorsim import circuit as circ
 from shorsim import (
     apply_qft,
     apply_qft_on,
@@ -83,6 +84,26 @@ class TestCircuit:
         x = np.arange(size)
         kernel = np.exp(2j * np.pi * np.outer(x, x) / size) / np.sqrt(size)
         np.testing.assert_allclose(cols, kernel, atol=1e-12)
+
+    def test_each_call_returns_its_own_circuit(self):
+        def ladder(n):
+            c = circ.Circuit(n)
+            for i in range(n - 1, -1, -1):
+                c.append(circ.h(i))
+                for m in range(i - 1, -1, -1):
+                    c.append(circ.cphase(m, i, np.pi / 2 ** (i - m)))
+            for k in range(n // 2):
+                c.append(circ.swap(k, n - 1 - k))
+            return c
+
+        n = 5
+        first = qft_circuit(n)
+        assert first == ladder(n)
+        first.append(circ.x(0))
+        first.ops[1] = circ.x(1)
+        first.run(basis_state(n, 3))
+        assert qft_circuit(n) == ladder(n)
+        assert qft_circuit(n).ops is not qft_circuit(n).ops
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):

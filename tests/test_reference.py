@@ -6,6 +6,10 @@ projectors |0><0|, |1><1|, |0><1|, |1><0|), so an error in the strided
 kernels cannot cancel against the same error in the check.  Qubit ``q`` is
 bit ``q`` of the basis index, so the Kronecker factor for qubit ``n-1`` comes
 first.  The QFT is checked against both ``dft_reference`` and ``numpy.fft``.
+
+Each gate test draws dense random unitaries and monomial ones (a permutation
+times unit phases), which the kernel applies by moving and scaling slices; a
+bitwise test pins that path to the kernel's dense row formula.
 """
 
 import numpy as np
@@ -32,6 +36,19 @@ def kron_on(n: int, factors: dict) -> np.ndarray:
     for q in range(n - 1, -1, -1):
         out = np.kron(out, factors.get(q, I2))
     return out
+
+
+def random_monomial(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random permutation matrix times random unit phases, about a third exactly 1."""
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
+    phases[rng.random(dim) < 1 / 3] = 1
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m[np.arange(dim), rng.permutation(dim)] = phases
+    return m
+
+
+# dense gates take the kernel's general path, monomial gates its slice path
+matrices = st.sampled_from([random_unitary, random_monomial])
 
 
 def dense_single(n: int, u: np.ndarray, target: int) -> np.ndarray:
@@ -70,37 +87,88 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @SETTINGS
-@given(placements(1), seeds)
-def test_apply_single_matches_kron(placed, seed):
+@given(placements(1), matrices, seeds)
+def test_apply_single_matches_kron(placed, make, seed):
     n, (t,) = placed
     rng = np.random.default_rng(seed)
-    u = random_unitary(2, rng)
+    u = make(2, rng)
     amps = random_state_vector(n, rng)
     got = state_from(amps).apply_single(Gate2(u), t).amplitudes
     np.testing.assert_allclose(got, dense_single(n, u, t) @ amps, atol=1e-12)
 
 
 @SETTINGS
-@given(st.integers(min_value=0, max_value=2).flatmap(lambda k: placements(k + 1)), seeds)
-def test_apply_controlled_matches_kron(placed, seed):
+@given(st.integers(min_value=0, max_value=2).flatmap(lambda k: placements(k + 1)), matrices, seeds)
+def test_apply_controlled_matches_kron(placed, make, seed):
     n, (t, *controls) = placed
     rng = np.random.default_rng(seed)
-    u = random_unitary(2, rng)
+    u = make(2, rng)
     amps = random_state_vector(n, rng)
     got = state_from(amps).apply_controlled(Gate2(u), set(controls), t).amplitudes
     np.testing.assert_allclose(got, dense_controlled(n, u, controls, t) @ amps, atol=1e-12)
 
 
 @SETTINGS
-@given(placements(2, min_n=2), seeds)
-def test_apply_two_qubit_matches_kron(placed, seed):
+@given(placements(2, min_n=2), matrices, seeds)
+def test_apply_two_qubit_matches_kron(placed, make, seed):
     # placements draw both qubit orders: qa above qb and qa below qb
     n, (qa, qb) = placed
     rng = np.random.default_rng(seed)
-    g = random_unitary(4, rng)
+    g = make(4, rng)
     amps = random_state_vector(n, rng)
     got = state_from(amps).apply_two_qubit(Gate4(g), qa, qb).amplitudes
     np.testing.assert_allclose(got, dense_two_qubit(n, g, qa, qb) @ amps, atol=1e-12)
+
+
+def row_formula(amps, m, targets, controls) -> np.ndarray:
+    """``m[s,0]*part[0] + m[s,1]*part[1] + ...`` over parts gathered by index arrays.
+
+    ``part[s]`` holds the amplitudes whose controls are all 1 and whose target
+    bits spell ``s`` (bit ``i`` of ``s`` is qubit ``targets[i]``).
+    """
+    idx = np.arange(amps.size)
+    on = np.ones(amps.size, dtype=bool)
+    for q in controls:
+        on &= (idx >> q) & 1 == 1
+    for q in targets:
+        on &= (idx >> q) & 1 == 0
+    base = idx[on]
+    where = [base + sum(((s >> i) & 1) << q for i, q in enumerate(targets)) for s in range(len(m))]
+    parts = [amps[w] for w in where]
+    out = amps.copy()
+    for s, w in enumerate(where):
+        acc = m[s, 0] * parts[0]
+        for coef, part in zip(m[s, 1:], parts[1:]):
+            acc = acc + coef * part
+        out[w] = acc
+    return out
+
+
+@SETTINGS
+@given(st.data(), seeds)
+def test_monomial_gates_equal_the_row_formula_bitwise(data, seed):
+    # Moving and scaling slices must round exactly like the dense formula
+    # (numpy's complex product is not symmetric in its operands).
+    rng = np.random.default_rng(seed)
+    kind = data.draw(st.sampled_from(["single", "controlled", "two_qubit"]))
+    if kind == "two_qubit":
+        n, targets = data.draw(placements(2, min_n=2))
+        controls = []
+    else:
+        k = data.draw(st.integers(min_value=0, max_value=2 if kind == "controlled" else 0))
+        n, (t, *controls) = data.draw(placements(k + 1))
+        targets = [t]
+    m = random_monomial(1 << len(targets), rng)
+    amps = random_state_vector(n, rng)
+    state = state_from(amps)
+    if kind == "single":
+        state.apply_single(Gate2(m), targets[0])
+    elif kind == "controlled":
+        state.apply_controlled(Gate2(m), set(controls), targets[0])
+    else:
+        state.apply_two_qubit(Gate4(m), *targets)
+    expect = row_formula(amps, m, targets, controls)
+    assert np.array_equal(state.amplitudes.view(np.float64), expect.view(np.float64))
 
 
 def test_two_qubit_reference_order_is_not_symmetric():

@@ -201,6 +201,7 @@ class TestHybrid:
         result = run_shor(ShorConfig(15, seed=0, max_qubits=10))
         assert result.factors == (3, 5)
         assert all(rec.f_outcome is None for rec in result.runs)
+        assert all(rec.mode == "hybrid" for rec in result.runs)
 
 
 class TestRunShor:
@@ -237,6 +238,17 @@ class TestRunShor:
         assert result.factors is None
         assert not result.success
         assert [rec.status for rec in result.runs] == ["trivial-root"] * 4
+
+    @pytest.mark.parametrize("config,mode", [
+        (ShorConfig(15, seed=0), "full"),
+        (ShorConfig(35, seed=3, mode="hybrid"), "hybrid"),
+        (ShorConfig(12827, mode="classical"), "classical"),
+        (ShorConfig(15, base=5, mode="classical"), "classical"),  # lucky gcd
+    ])
+    def test_every_record_names_the_mode_that_ran(self, config, mode):
+        result = run_shor(config)
+        assert result.runs
+        assert all(rec.mode == mode for rec in result.runs)
 
     def test_classical_mode_worked_instance(self):
         result = run_shor(ShorConfig(12827, mode="classical", seed=0))
