@@ -14,6 +14,7 @@ from .gates import (
 )
 from .numtheory import (
     Convergent,
+    OrderSearchBudgetExceeded,
     PeriodCandidate,
     continued_fraction_convergents,
     extended_gcd,

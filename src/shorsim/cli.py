@@ -1,8 +1,9 @@
 """Command-line surface: factoring runs, distribution tables, circuit execution.
 
-Exit codes: 0 success, 1 invalid input, 2 algorithmic failure.  All output is
-CSV (header row, comma separated, 12 significant digits, newline terminated)
-or plain text; identical command line and seed give byte-identical output.
+Exit codes: 0 success, 1 invalid input, 2 algorithmic failure, including an
+order search past its work budget.  All output is CSV (header row, comma
+separated, 12 significant digits, newline terminated) or plain text;
+identical command line and seed give byte-identical output.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 
 from .circuit import Circuit, CircuitParseError
-from .numtheory import U64_LIMIT
+from .numtheory import U64_LIMIT, OrderSearchBudgetExceeded
 from .qft import apply_qft
 from .shor import ShorConfig, build_period_state, run_shor
 from .state import DEFAULT_MAX_QUBITS, basis_state, sample_indices
@@ -78,6 +79,9 @@ def cmd_factor(args) -> int:
         # config validation and the prime pre-check (Miller-Rabin) land here
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
+    except OrderSearchBudgetExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_FAILED
 
     if args.transcript:
         with open(args.transcript, "w") as fh:

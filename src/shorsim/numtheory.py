@@ -4,6 +4,12 @@ Everything here runs on plain Python integers.  Inputs are capped at 64 bits
 where correctness depends on it (the fixed Miller-Rabin witness set is only
 proven deterministic below 2**64); intermediates never overflow because
 Python integers are unbounded.
+
+The classical order search (``multiplicative_order``) is baby-step
+giant-step with a doubling table, about sqrt(r) steps for an order r, under a
+stated work budget: MAX_BABY_STEPS table entries, which reach every order up
+to 2**40.  Past it, the search raises OrderSearchBudgetExceeded instead of
+running on.
 """
 
 from dataclasses import dataclass
@@ -12,6 +18,14 @@ U64_LIMIT = 1 << 64
 
 # Deterministic Miller-Rabin witnesses for every n < 3.3e24 (covers all u64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Work budget of multiplicative_order: at most this many baby-step table
+# entries (about 110 MiB at the cap), enough for every order up to 2**40.
+MAX_BABY_STEPS = 1 << 20
+
+
+class OrderSearchBudgetExceeded(RuntimeError):
+    """multiplicative_order would need more than MAX_BABY_STEPS table entries."""
 
 
 def gcd(a: int, b: int) -> int:
@@ -60,17 +74,51 @@ def mod_pow(a: int, e: int, m: int) -> int:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Least r >= 1 with a**r == 1 mod n, by direct iteration."""
+    """Least r >= 1 with a**r == 1 mod n, by baby-step giant-step.
+
+    Baby steps walk acc = a**j for j < m, return j as soon as acc == 1 (so a
+    small order costs the plain linear walk) and store a**j -> j.  Giant steps
+    g = a**(i*m) then look g up: a hit at j gives r = i*m - j.  Baby values
+    are distinct below the order, so step i covers ((i-1)*m, i*m] once and the
+    first hit is the least r.  When the giant walk passes m*m without a hit,
+    m doubles (from 16) and both walks continue where they stopped (Shanks'
+    method with a growing table, after Terr, Math. Comp. 69, 2000), so an
+    order r costs about sqrt(r) steps.  The table is capped at
+    MAX_BABY_STEPS entries, which covers every order up to MAX_BABY_STEPS**2;
+    a larger order raises OrderSearchBudgetExceeded.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if gcd(a, n) != 1:
         raise ValueError(f"{a} and {n} are not coprime, no multiplicative order")
-    acc = a % n
-    r = 1
-    while acc != 1:
-        acc = acc * a % n
-        r += 1
-    return r
+    if n == 1:
+        return 1  # every residue is 1 mod 1
+    a %= n
+    table = {1: 0}
+    acc, j = 1, 0  # acc == a**j
+    g, covered = 1, 0  # g == a**covered; no order <= covered
+    m = 16
+    while True:
+        while j < m - 1:
+            acc = acc * a % n
+            j += 1
+            if acc == 1:
+                return j
+            table[acc] = j
+        stride = acc * a % n  # a**m
+        end = m * m
+        while covered < end:
+            g = g * stride % n
+            covered += m
+            hit = table.get(g)
+            if hit is not None:
+                return covered - hit
+        m *= 2
+        if m > MAX_BABY_STEPS:
+            raise OrderSearchBudgetExceeded(
+                f"order of {a} mod {n} exceeds {end}: the order search budget of "
+                f"{MAX_BABY_STEPS} baby steps is spent"
+            )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import shorsim.qft as qft_mod
-from shorsim import selftest
+from shorsim import numtheory, selftest
 from shorsim.cli import main
 
 BELL_FILE = "qubits 2\nH 0\nCNOT 0 1\n"
@@ -34,6 +34,18 @@ class TestFactor:
         assert main(["factor", "15", "--base", "14", "--mode", "classical",
                      "--max-runs", "2"]) == 2
         assert "failed to factor 15" in capsys.readouterr().err
+
+    def test_classical_40_bit_semiprime(self, capsys):
+        assert main(["factor", "1000036000099", "--mode", "classical"]) == 0
+        assert capsys.readouterr().out == "1000036000099 = 1000003 x 1000033\n"
+
+    def test_order_search_budget_exit_2(self, monkeypatch, capsys):
+        # 16 table entries reach orders up to 256; 2 has order 700 mod 12827
+        monkeypatch.setattr(numtheory, "MAX_BABY_STEPS", 16)
+        assert main(["factor", "12827", "--base", "2", "--mode", "classical"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "order search budget of 16" in err
 
     def test_too_small_exit_1(self, capsys):
         assert main(["factor", "2"]) == 1

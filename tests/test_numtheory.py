@@ -1,8 +1,13 @@
 """Euclid, modular arithmetic, continued fractions, period recovery, primality."""
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shorsim import (
+    OrderSearchBudgetExceeded,
     continued_fraction_convergents,
     extended_gcd,
     factor_from_period,
@@ -12,7 +17,35 @@ from shorsim import (
     multiplicative_order,
     recover_period,
 )
+from shorsim import numtheory
 from shorsim.numtheory import U64_LIMIT
+
+# The eight classical benchmark moduli (11-bit x 12-bit primes, orders
+# 600k-680k) and a 40-bit semiprime whose orders reach 1.7e11.
+LARGE_ORDER_MODULI = (
+    1193 * 4049, 1321 * 3067, 1459 * 2713, 1597 * 2539,
+    1741 * 3671, 1753 * 2239, 1759 * 2137, 1901 * 3371,
+    1000003 * 1000033,
+)
+
+
+def brute_force_order(a, n):
+    acc, r = a % n, 1
+    while acc != 1 % n:
+        acc = acc * a % n
+        r += 1
+    return r
+
+
+def prime_factors(r):
+    primes, p = [], 2
+    while p * p <= r:
+        if r % p == 0:
+            primes.append(p)
+            while r % p == 0:
+                r //= p
+        p += 1
+    return primes + [r] if r > 1 else primes
 
 
 def naive_mod_pow(a, e, m):
@@ -103,6 +136,33 @@ class TestMultiplicativeOrder:
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="coprime"):
             multiplicative_order(6, 15)
+
+    def test_modulus_one(self):
+        for a in (0, 1, 5, -3):
+            assert multiplicative_order(a, 1) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3000).flatmap(lambda n: st.tuples(st.integers(-n, 2 * n), st.just(n))))
+    def test_matches_brute_force(self, an):
+        a, n = an
+        assume(math.gcd(a, n) == 1)
+        assert multiplicative_order(a, n) == brute_force_order(a, n)
+
+    @pytest.mark.parametrize("n", LARGE_ORDER_MODULI)
+    def test_large_orders_are_certified(self, n):
+        for a in (2, 3):
+            r = multiplicative_order(a, n)
+            assert pow(a, r, n) == 1
+            for p in prime_factors(r):
+                assert pow(a, r // p, n) != 1, f"order of {a} mod {n} divides {r // p}"
+
+    def test_budget_bounds_the_order_search(self, monkeypatch):
+        # a table of 64 entries reaches every order up to 64**2 = 4096
+        monkeypatch.setattr(numtheory, "MAX_BABY_STEPS", 64)
+        assert multiplicative_order(2, 4093) == 4092
+        assert multiplicative_order(2, 15) == 4
+        with pytest.raises(OrderSearchBudgetExceeded, match="budget of 64 baby steps"):
+            multiplicative_order(2, 4099)  # order 4098
 
 
 class TestConvergents:

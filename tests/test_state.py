@@ -259,10 +259,10 @@ class TestMeasureAll:
 
     def test_frequency_of_plus_state(self):
         # 1e5 fresh seeds; binomial 5-sigma band is well inside [0.49, 0.51]
+        plus = basis_state(1, 0).apply_single(hadamard(), 0)
         zeros = 0
         for seed in range(100_000):
-            s = basis_state(1, 0).apply_single(hadamard(), 0)
-            if s.measure_all(np.random.default_rng(seed)).value == 0:
+            if plus.copy().measure_all(np.random.default_rng(seed)).value == 0:
                 zeros += 1
         assert 0.49 <= zeros / 100_000 <= 0.51
 
