@@ -94,29 +94,27 @@ def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1  # every residue is 1 mod 1
     a %= n
-    table = {1: 0}
-    acc, j = 1, 0  # acc == a**j
+    table = {1: 0}  # a**j -> j for every baby step so far
+    acc = 1  # a**(len(table) - 1)
     g, covered = 1, 0  # g == a**covered; no order <= covered
     m = 16
     while True:
-        while j < m - 1:
+        for j in range(len(table), m):
             acc = acc * a % n
-            j += 1
             if acc == 1:
                 return j
             table[acc] = j
         stride = acc * a % n  # a**m
-        end = m * m
-        while covered < end:
+        # covered is a multiple of m below m*m, so this walk takes at least one step.
+        for covered in range(covered + m, m * m + 1, m):
             g = g * stride % n
-            covered += m
             hit = table.get(g)
             if hit is not None:
                 return covered - hit
         m *= 2
         if m > MAX_BABY_STEPS:
             raise OrderSearchBudgetExceeded(
-                f"order of {a} mod {n} exceeds {end}: the order search budget of "
+                f"order of {a} mod {n} exceeds {covered}: the order search budget of "
                 f"{MAX_BABY_STEPS} baby steps is spent"
             )
 

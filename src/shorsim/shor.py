@@ -228,8 +228,15 @@ def run_once_classical(n_to_factor: int, a: int) -> RunRecord:
     return RunRecord(a=a, n=None, candidate_r=r, status=STATUS_PERIOD_FOUND, mode="classical")
 
 
+# Exponents to try on an input below 2**64.  The least exponent that makes n a
+# perfect power is prime (b**(p*k) == (b**k)**p), so no other exponent is needed.
+_PRIME_EXPONENTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
 def _perfect_power_root(n: int) -> int | None:
-    for e in range(2, n.bit_length() + 1):
+    for e in _PRIME_EXPONENTS:
+        if e > n.bit_length():
+            break
         root = round(n ** (1.0 / e))
         for b in (root - 1, root, root + 1):
             if b >= 2 and b**e == n:
@@ -269,12 +276,16 @@ def run_shor(config: ShorConfig) -> FactoringResult:
     if root is not None:
         return FactoringResult(n, (root, n // root), [], 0)
 
-    rng = np.random.default_rng(config.seed)
     mode = config.mode
     if mode == "full":
         in_w = config.n_override or choose_register_size(n)
         if in_w + _output_width(n) > config.max_qubits:
             mode = "hybrid"  # full register will not fit; keep only the input register
+    # Classical mode with a forced base draws nothing, so it seeds no generator:
+    # seeding takes tens of microseconds, a tenth of a classical call on a 23-bit modulus.
+    rng = None
+    if mode != "classical" or config.base is None:
+        rng = np.random.default_rng(config.seed)
     runs: list[RunRecord] = []
     gate_estimate = 0
     current_a: int | None = None

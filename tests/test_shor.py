@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shorsim.shor as shor_mod
 from shorsim import (
@@ -226,6 +228,37 @@ class TestRunShor:
     def test_perfect_power_shortcut(self):
         assert run_shor(ShorConfig(27)).factors == (3, 9)
         assert run_shor(ShorConfig(121)).factors == (11, 11)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 63).flatmap(
+            lambda e: st.tuples(st.integers(2, max(2, (1 << 64 // e) - 1)), st.just(e))
+        ),
+        st.integers(-1, 1),
+    )
+    def test_perfect_power_root_tries_every_exponent(self, root_and_exponent, shift):
+        # Prime exponents only must give the root of the least exponent that
+        # works, as trying every exponent with exact integer roots does.
+        b, e = root_and_exponent
+        n = b**e + shift
+        expected = None
+        for k in range(2, n.bit_length() + 1):
+            lo, hi = 1, 1 << (n.bit_length() // k + 1)
+            while lo < hi:  # least root with root**k >= n
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if mid**k < n else (lo, mid)
+            if lo**k == n:
+                expected = lo
+                break
+        assert shor_mod._perfect_power_root(n) == expected
+
+    def test_classical_forced_base_seeds_no_generator(self, monkeypatch):
+        def no_generator(seed):
+            raise AssertionError("classical mode with a forced base drew a generator")
+
+        monkeypatch.setattr(shor_mod.np.random, "default_rng", no_generator)
+        result = run_shor(ShorConfig(12827, base=2, mode="classical"))
+        assert result.factors == (101, 127)
 
     def test_forced_noncoprime_base_is_lucky(self):
         result = run_shor(ShorConfig(15, base=5))
