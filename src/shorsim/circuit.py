@@ -1,7 +1,10 @@
 """Ordered, invertible, serializable sequences of gate placements.
 
 Circuits are purely unitary: measurements are driver-level actions, never
-circuit ops, so ``inverse`` is total.
+circuit ops, so ``inverse`` is total.  Every op has one shape, ``GateOp(gate,
+targets, controls, name, angle)``: the number of targets (one for a Gate2, two
+for a Gate4, none for a full-register BasisPermutation) and the controls pick
+the state kernel that ``Circuit.run`` calls.
 
 Text format, one op per line, ``#`` starts a comment::
 
@@ -16,21 +19,19 @@ Text format, one op per line, ``#`` starts a comment::
     U4 <qa> <qb> <32 reals>        # 4x4 matrix, row-major, re im per entry
 
 Numbers are written with 17 significant digits so that serialization round
-trips exactly.  Ops with no line form (basis permutations, generic
-multi-controlled gates) cannot be serialized and are rejected.
+trips exactly.  ``_LINE_FORMS`` holds every line form; both the parser and the
+serializer read it.  An op serializes as its name, its qubits (sorted
+controls, then targets) and its angle or matrix.  Ops with no line form (basis
+permutations, generic multi-controlled gates) cannot be serialized and are
+rejected; SWAP has none of its own and is written as U4.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import Gate2, Gate4, hadamard, not_gate, phase_shift, swap_gate
 from .state import BasisPermutation, QuantumState
-
-SINGLE = "single"
-CONTROLLED = "controlled"
-TWO_QUBIT = "two_qubit"
-PERMUTATION = "permutation"
 
 
 class CircuitParseError(ValueError):
@@ -39,116 +40,91 @@ class CircuitParseError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
-    """One gate placement.
+    """One gate placement: ``gate`` on ``targets`` where every control bit is 1.
 
-    ``name`` is a serialization mnemonic only; structural equality compares
-    kind, qubit indices, and the payload matrix/table.
+    ``gate`` is a Gate2 on one target, a Gate4 on two (matrix index
+    ``bit(targets[0]) + 2*bit(targets[1])``), or a BasisPermutation of the
+    whole register with no targets and no controls.  ``name`` is the
+    mnemonic of the op's line form and ``angle`` the phase of a PHASE or
+    CPHASE; structural equality ignores both and compares gate, targets and
+    controls.
     """
 
-    kind: str
-    payload: object
-    target: int | None = None
-    targets: tuple[int, int] | None = None
-    controls: frozenset[int] = field(default_factory=frozenset)
+    gate: object
+    targets: tuple[int, ...] = ()
+    controls: frozenset[int] = frozenset()
     name: str | None = None
     angle: float | None = None
 
     def qubits(self) -> tuple[int, ...]:
-        """Every qubit index the op touches (empty for a full-width permutation)."""
-        out: tuple[int, ...] = tuple(sorted(self.controls))
-        if self.target is not None:
-            out += (self.target,)
-        if self.targets is not None:
-            out += self.targets
-        return out
+        """The sorted controls, then the targets (empty for a full-width permutation)."""
+        return tuple(sorted(self.controls)) + self.targets
 
     def inverse(self) -> "GateOp":
-        if self.kind == PERMUTATION:
-            return GateOp(PERMUTATION, self.payload.inverse(), name=self.name)
-        angle = None if self.angle is None else -self.angle
-        if angle is not None:
-            payload = phase_shift(angle)
+        if self.angle is not None:
+            gate, angle = phase_shift(-self.angle), -self.angle
         else:
-            payload = self.payload.dagger()
-        return GateOp(
-            self.kind,
-            payload,
-            target=self.target,
-            targets=self.targets,
-            controls=self.controls,
-            name=self.name,
-            angle=angle,
-        )
+            gate, angle = self.gate.dagger(), None
+        return GateOp(gate, self.targets, self.controls, self.name, angle)
 
     def shifted(self, offset: int) -> "GateOp":
         """The same op with every qubit index moved up by ``offset``."""
-        if self.kind == PERMUTATION:
+        if not self.targets:
             raise ValueError("a basis permutation is tied to the full register")
         return GateOp(
-            self.kind,
-            self.payload,
-            target=None if self.target is None else self.target + offset,
-            targets=None if self.targets is None else (self.targets[0] + offset, self.targets[1] + offset),
-            controls=frozenset(c + offset for c in self.controls),
-            name=self.name,
-            angle=self.angle,
+            self.gate,
+            tuple([t + offset for t in self.targets]),
+            frozenset([c + offset for c in self.controls]),
+            self.name,
+            self.angle,
         )
 
     def __eq__(self, other):
         if not isinstance(other, GateOp):
             return NotImplemented
         return (
-            self.kind == other.kind
-            and self.target == other.target
-            and self.targets == other.targets
+            self.targets == other.targets
             and self.controls == other.controls
-            and self.payload == other.payload
+            and self.gate == other.gate
         )
 
 
 # -- op constructors -----------------------------------------------------
 
 def h(q: int) -> GateOp:
-    return GateOp(SINGLE, hadamard(), target=q, name="H")
+    return GateOp(hadamard(), (q,), name="H")
 
 
 def x(q: int) -> GateOp:
-    return GateOp(SINGLE, not_gate(), target=q, name="X")
+    return GateOp(not_gate(), (q,), name="X")
 
 
 def phase(q: int, angle: float) -> GateOp:
-    return GateOp(SINGLE, phase_shift(angle), target=q, name="PHASE", angle=float(angle))
+    return GateOp(phase_shift(angle), (q,), name="PHASE", angle=float(angle))
 
 
 def u2(q: int, gate: Gate2) -> GateOp:
     if not isinstance(gate, Gate2):
         gate = Gate2(gate)
-    return GateOp(SINGLE, gate, target=q, name="U2")
+    return GateOp(gate, (q,), name="U2")
 
 
 def cnot(control: int, target: int) -> GateOp:
     if control == target:
         raise ValueError("control equals target")
-    return GateOp(CONTROLLED, not_gate(), target=target, controls=frozenset([control]), name="CNOT")
+    return GateOp(not_gate(), (target,), frozenset([control]), name="CNOT")
 
 
 def ccnot(c1: int, c2: int, target: int) -> GateOp:
     if len({c1, c2, target}) != 3:
         raise ValueError(f"CCNOT qubits must be distinct, got {c1}, {c2}, {target}")
-    return GateOp(CONTROLLED, not_gate(), target=target, controls=frozenset([c1, c2]), name="CCNOT")
+    return GateOp(not_gate(), (target,), frozenset([c1, c2]), name="CCNOT")
 
 
 def cphase(control: int, target: int, angle: float) -> GateOp:
     if control == target:
         raise ValueError("control equals target")
-    return GateOp(
-        CONTROLLED,
-        phase_shift(angle),
-        target=target,
-        controls=frozenset([control]),
-        name="CPHASE",
-        angle=float(angle),
-    )
+    return GateOp(phase_shift(angle), (target,), frozenset([control]), name="CPHASE", angle=float(angle))
 
 
 def controlled(gate: Gate2, controls, target: int) -> GateOp:
@@ -158,7 +134,7 @@ def controlled(gate: Gate2, controls, target: int) -> GateOp:
     controls = frozenset(int(c) for c in controls)
     if target in controls:
         raise ValueError("control equals target")
-    return GateOp(CONTROLLED, gate, target=target, controls=controls)
+    return GateOp(gate, (target,), controls)
 
 
 def u4(qa: int, qb: int, gate: Gate4) -> GateOp:
@@ -166,19 +142,20 @@ def u4(qa: int, qb: int, gate: Gate4) -> GateOp:
         gate = Gate4(gate)
     if qa == qb:
         raise ValueError(f"two-qubit gate needs distinct qubits, got {qa} twice")
-    return GateOp(TWO_QUBIT, gate, targets=(qa, qb), name="U4")
+    return GateOp(gate, (qa, qb), name="U4")
 
 
 def swap(qa: int, qb: int) -> GateOp:
+    """SWAP as a U4 op: it has no line form of its own and serializes as its matrix."""
     if qa == qb:
         raise ValueError(f"SWAP needs distinct qubits, got {qa} twice")
-    return GateOp(TWO_QUBIT, swap_gate(), targets=(qa, qb), name="SWAP")
+    return GateOp(swap_gate(), (qa, qb), name="U4")
 
 
 def permutation_op(perm: BasisPermutation) -> GateOp:
     if not isinstance(perm, BasisPermutation):
         perm = BasisPermutation(perm)
-    return GateOp(PERMUTATION, perm, name="PERM")
+    return GateOp(perm, name="PERM")
 
 
 class Circuit:
@@ -203,9 +180,9 @@ class Circuit:
         for q in op.qubits():
             if not 0 <= q < self.width:
                 raise ValueError(f"qubit index {q} out of range for width {self.width}")
-        if op.kind == PERMUTATION and op.payload.num_qubits != self.width:
+        if not op.targets and op.gate.num_qubits != self.width:
             raise ValueError(
-                f"permutation acts on {op.payload.num_qubits} qubits, circuit width is {self.width}"
+                f"permutation acts on {op.gate.num_qubits} qubits, circuit width is {self.width}"
             )
         self.ops.append(op)
         return self
@@ -217,14 +194,15 @@ class Circuit:
                 f"circuit width {self.width} does not match state with {state.num_qubits} qubits"
             )
         for op in self.ops:
-            if op.kind == SINGLE:
-                state.apply_single(op.payload, op.target)
-            elif op.kind == CONTROLLED:
-                state.apply_controlled(op.payload, op.controls, op.target)
-            elif op.kind == TWO_QUBIT:
-                state.apply_two_qubit(op.payload, *op.targets)
+            targets = op.targets
+            if op.controls:
+                state.apply_controlled(op.gate, op.controls, targets[0])
+            elif len(targets) == 1:
+                state.apply_single(op.gate, targets[0])
+            elif targets:
+                state.apply_two_qubit(op.gate, *targets)
             else:
-                state.apply_permutation(op.payload)
+                state.apply_permutation(op.gate)
         return state
 
     def inverse(self) -> "Circuit":
@@ -285,38 +263,34 @@ def _matrix_fields(m: np.ndarray) -> str:
 
 
 def _op_line(op: GateOp) -> str:
-    name = op.name
-    if op.kind == SINGLE:
-        if name in ("H", "X"):
-            return f"{name} {op.target}"
-        if name == "PHASE":
-            return f"PHASE {op.target} {_fmt(op.angle)}"
-        return f"U2 {op.target} {_matrix_fields(op.payload.matrix)}"
-    if op.kind == CONTROLLED:
-        ctrls = sorted(op.controls)
-        if name == "CNOT" and len(ctrls) == 1:
-            return f"CNOT {ctrls[0]} {op.target}"
-        if name == "CCNOT" and len(ctrls) == 2:
-            return f"CCNOT {ctrls[0]} {ctrls[1]} {op.target}"
-        if name == "CPHASE" and len(ctrls) == 1:
-            return f"CPHASE {ctrls[0]} {op.target} {_fmt(op.angle)}"
-        raise ValueError(f"cannot serialize generic controlled op {op!r}: no line form")
-    if op.kind == TWO_QUBIT:
-        qa, qb = op.targets
-        return f"U4 {qa} {qb} {_matrix_fields(op.payload.matrix)}"
-    raise ValueError("cannot serialize a basis-permutation op: no line form")
+    form = _LINE_FORMS.get(op.name)
+    qubits = op.qubits()
+    if form is None or len(qubits) != form[0]:
+        raise ValueError(f"cannot serialize op {op.name or 'unnamed'} on qubits {qubits}: no line form")
+    fields = [op.name, *map(str, qubits)]
+    if op.angle is not None:
+        fields.append(_fmt(op.angle))
+    elif form[1]:
+        fields.append(_matrix_fields(op.gate.matrix))
+    return " ".join(fields)
 
 
-# token counts after the op name: (qubit args, numeric args)
-_ARITY = {
-    "H": (1, 0),
-    "X": (1, 0),
-    "PHASE": (1, 1),
-    "CNOT": (2, 0),
-    "CCNOT": (3, 0),
-    "CPHASE": (2, 1),
-    "U2": (1, 8),
-    "U4": (2, 32),
+def _numbers_to_matrix(nums, dim: int) -> np.ndarray:
+    vals = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
+    return vals.reshape(dim, dim)
+
+
+# name -> (qubit args, numeric args, constructor called with both in that order);
+# the qubit args are the op's ``qubits()``: sorted controls, then targets.
+_LINE_FORMS = {
+    "H": (1, 0, h),
+    "X": (1, 0, x),
+    "PHASE": (1, 1, phase),
+    "CNOT": (2, 0, cnot),
+    "CCNOT": (3, 0, ccnot),
+    "CPHASE": (2, 1, cphase),
+    "U2": (1, 8, lambda q, *m: u2(q, _numbers_to_matrix(m, 2))),
+    "U4": (2, 32, lambda qa, qb, *m: u4(qa, qb, _numbers_to_matrix(m, 4))),
 }
 
 
@@ -355,14 +329,14 @@ def _parse(cls, text: str):
                 raise CircuitParseError(f"line {lineno}: negative qubit count {width}")
             continue
 
-        if op_name not in _ARITY:
+        if op_name not in _LINE_FORMS:
             raise CircuitParseError(f"line {lineno}: unknown operation {op_name!r}")
-        n_qubits, n_nums = _ARITY[op_name]
+        n_qubits, n_nums, build = _LINE_FORMS[op_name]
         args = toks[1:]
         if len(args) != n_qubits + n_nums:
             plural = "s" if n_qubits != 1 else ""
             msg = f"line {lineno}: expected {n_qubits} qubit argument{plural}"
-            if op_name in ("PHASE", "CPHASE"):
+            if n_nums == 1:
                 msg += " and an angle"
             elif n_nums:
                 msg += f" and {n_nums} matrix values"
@@ -371,7 +345,7 @@ def _parse(cls, text: str):
         nums = [_parse_float(t, lineno) for t in args[n_qubits:]]
 
         try:
-            op = _build_op(op_name, qubits, nums)
+            op = build(*qubits, *nums)
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
         parsed.append((lineno, op))
@@ -387,26 +361,3 @@ def _parse(cls, text: str):
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
     return circuit
-
-
-def _numbers_to_matrix(nums: list[float], dim: int) -> np.ndarray:
-    vals = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
-    return vals.reshape(dim, dim)
-
-
-def _build_op(op_name: str, qubits: list[int], nums: list[float]) -> GateOp:
-    if op_name == "H":
-        return h(qubits[0])
-    if op_name == "X":
-        return x(qubits[0])
-    if op_name == "PHASE":
-        return phase(qubits[0], nums[0])
-    if op_name == "CNOT":
-        return cnot(qubits[0], qubits[1])
-    if op_name == "CCNOT":
-        return ccnot(qubits[0], qubits[1], qubits[2])
-    if op_name == "CPHASE":
-        return cphase(qubits[0], qubits[1], nums[0])
-    if op_name == "U2":
-        return u2(qubits[0], Gate2(_numbers_to_matrix(nums, 2)))
-    return u4(qubits[0], qubits[1], Gate4(_numbers_to_matrix(nums, 4)))

@@ -105,7 +105,7 @@ def hadamard() -> Gate2:
 
 
 def phase_shift(angle: float) -> Gate2:
-    """diag(1, e^{i*angle}): the single-qubit payload of a controlled phase.
+    """diag(1, e^{i*angle}): the single-qubit gate of a controlled phase.
 
     Attaching controls via ``apply_controlled`` turns this into the two-qubit
     gate |11> -> e^{i*angle}|11>, and into multi-controlled phases for free.

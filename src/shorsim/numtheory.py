@@ -12,6 +12,7 @@ to 2**40.  Past it, the search raises OrderSearchBudgetExceeded instead of
 running on.
 """
 
+import math
 from dataclasses import dataclass
 
 U64_LIMIT = 1 << 64
@@ -29,13 +30,11 @@ class OrderSearchBudgetExceeded(RuntimeError):
 
 
 def gcd(a: int, b: int) -> int:
-    """Greatest common divisor by Euclid's algorithm."""
-    a, b = abs(int(a)), abs(int(b))
+    """Greatest common divisor of the absolute values."""
+    a, b = int(a), int(b)
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return a
+    return math.gcd(a, b)
 
 
 def extended_gcd(m: int, n: int) -> tuple[int, int, int]:

@@ -200,8 +200,8 @@ def _check_copy_uncompute() -> tuple[bool, str]:
         width = int(rng.integers(2, 6))
         cf = Circuit(width)
         for _ in range(int(rng.integers(1, 26))):
-            kind = rng.integers(0, 3)
-            qs = rng.choice(width, size=min(int(kind) + 1, width), replace=False)
+            arity = int(rng.integers(0, 3)) + 1
+            qs = rng.choice(width, size=min(arity, width), replace=False)
             if len(qs) == 1:
                 cf.append(circ.x(int(qs[0])))
             elif len(qs) == 2:

@@ -107,10 +107,7 @@ def choose_register_size(n: int) -> int:
     """Smallest input-register width with 2**bits >= n**2."""
     if n < 3:
         raise ValueError(f"modulus must be at least 3, got {n}")
-    bits = 0
-    while (1 << bits) < n * n:
-        bits += 1
-    return bits
+    return (n * n - 1).bit_length()
 
 
 def prepare_uniform(n: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
@@ -139,11 +136,6 @@ def build_period_state(n: int, x0: int, r: int, *, max_qubits: int = DEFAULT_MAX
 
 def _output_width(n_to_factor: int) -> int:
     return (n_to_factor - 1).bit_length()
-
-
-def _full_run_gate_estimate(n: int) -> int:
-    # n Hadamards + the oracle applied as one permutation + the QFT ladder.
-    return n + 1 + n * (n + 1) // 2 + n // 2
 
 
 def _recover(record: RunRecord, n_to_factor: int) -> RunRecord:
@@ -179,9 +171,9 @@ def run_once_full(
             "use hybrid mode"
         )
 
+    # The output register starts at |0>, so the uniform input register fills the low amplitudes.
     state = basis_state(total, 0, max_qubits=max_qubits)
-    for q in range(in_w):
-        state.apply_single(hadamard(), q)
+    state.amplitudes[: 1 << in_w] = prepare_uniform(in_w, max_qubits=max_qubits).amplitudes
     state.apply_permutation(modexp_oracle(a, n_to_factor, in_w, out_w))
 
     f_outcome = None
@@ -295,7 +287,7 @@ def run_shor(config: ShorConfig) -> FactoringResult:
         if config.base is not None:
             a = config.base
         elif current_a is None:
-            a = int(rng.integers(2, n))
+            a = int(rng.integers(2, n, dtype=np.uint64))  # the int64 default rejects n >= 2**63
             current_a = a
             pooled_denoms = []
         else:
@@ -313,14 +305,15 @@ def run_shor(config: ShorConfig) -> FactoringResult:
                 measure_f=config.measure_f,
                 max_qubits=config.max_qubits,
             )
-            gate_estimate += _full_run_gate_estimate(record.n)
+            gate_estimate += record.n + 1  # the Hadamard layer and the oracle, one permutation
         elif mode == "hybrid":
             record = run_once_hybrid(
                 n, a, rng, n=config.n_override, max_qubits=config.max_qubits
             )
-            gate_estimate += qft_circuit(record.n).gate_count
         else:
             record = run_once_classical(n, a)
+        if record.n is not None:
+            gate_estimate += qft_circuit(record.n).gate_count
         runs.append(record)
 
         r = record.candidate_r

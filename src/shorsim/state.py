@@ -109,6 +109,10 @@ class BasisPermutation:
         inv[self.table] = np.arange(self.table.size, dtype=np.int64)
         return BasisPermutation(inv)
 
+    # A permutation matrix is real and orthogonal: its conjugate transpose is its
+    # inverse, so circuits invert every gate, Gate2, Gate4 or permutation, alike.
+    dagger = inverse
+
     def __call__(self, x: int) -> int:
         return int(self.table[x])
 

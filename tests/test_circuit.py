@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from shorsim import BasisPermutation, Circuit, CircuitParseError, basis_state
+from shorsim import BasisPermutation, Circuit, CircuitParseError, GateOp, basis_state
 from shorsim import circuit as circ
-from shorsim.gates import Gate2, Gate4, hadamard, phase_shift
+from shorsim.gates import Gate2, Gate4, hadamard, not_gate, phase_shift
 
 from conftest import random_state_vector, random_unitary
 
@@ -144,8 +144,8 @@ class TestGateCount:
                 c.append(circ.u4(qa, qb, Gate4(random_unitary(4, rng))))
                 two_i += 1
         assert c.gate_count == 12
-        assert sum(1 for op in c.ops if op.kind == circ.TWO_QUBIT) == 6
-        assert sum(1 for op in c.ops if op.kind == circ.SINGLE) == 6
+        assert sum(1 for op in c.ops if len(op.targets) == 2) == 6
+        assert sum(1 for op in c.ops if len(op.targets) == 1) == 6
         s = c.run(basis_state(5, 0))
         assert s.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -214,6 +214,33 @@ class TestSerialization:
         c = Circuit(4, [circ.controlled(hadamard(), {0, 1, 2}, 3)])
         with pytest.raises(ValueError, match="no line form"):
             c.serialize()
+
+    def test_misnamed_op_not_serializable(self):
+        c = Circuit(3, [GateOp(not_gate(), (2,), frozenset([0]), name="CCNOT")])
+        with pytest.raises(ValueError, match="no line form"):
+            c.serialize()
+
+    def test_inverse_text_of_every_named_form(self, rng):
+        m2, m4 = random_unitary(2, rng), random_unitary(4, rng)
+        c = Circuit(3)
+        c.append(circ.h(0)).append(circ.x(1)).append(circ.phase(2, 0.25))
+        c.append(circ.cnot(0, 2)).append(circ.ccnot(2, 0, 1)).append(circ.cphase(1, 0, -2.5))
+        c.append(circ.u2(1, Gate2(m2))).append(circ.u4(2, 0, Gate4(m4)))
+
+        def fields(m):
+            return " ".join(f"{e.real:.17g} {e.imag:.17g}" for e in m.conj().T.ravel())
+
+        assert c.inverse().serialize() == "\n".join([
+            "qubits 3",
+            f"U4 2 0 {fields(m4)}",
+            f"U2 1 {fields(m2)}",
+            "CPHASE 1 0 2.5",
+            "CCNOT 0 2 1",
+            "CNOT 0 2",
+            "PHASE 2 -0.25",
+            "X 1",
+            "H 0",
+        ]) + "\n"
 
     def test_header_after_ops_rejected(self):
         with pytest.raises(CircuitParseError, match="line 2.*must come first"):

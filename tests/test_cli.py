@@ -47,6 +47,15 @@ class TestFactor:
         assert out == ""
         assert err.count("\n") == 1 and "order search budget of 16" in err
 
+    def test_base_draw_above_int64(self, monkeypatch, capsys):
+        # 4294967291 x 4294967279 >= 2**63: the random base is drawn past int64,
+        # then a 16-entry order budget ends the search with exit 2
+        monkeypatch.setattr(numtheory, "MAX_BABY_STEPS", 16)
+        assert main(["factor", "18446743979220271189", "--mode", "classical"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "order search budget of 16" in err
+
     def test_too_small_exit_1(self, capsys):
         assert main(["factor", "2"]) == 1
         assert "cannot factor" in capsys.readouterr().err
@@ -213,7 +222,7 @@ class TestSelftest:
             c = true_builder(n)
             for i, op in enumerate(c.ops):
                 if op.name == "CPHASE":  # detune one controlled-phase angle
-                    c.ops[i] = circ.cphase(min(op.controls), op.target, op.angle * 1.07)
+                    c.ops[i] = circ.cphase(min(op.controls), op.targets[0], op.angle * 1.07)
                     break
             return c
 

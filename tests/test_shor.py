@@ -19,6 +19,7 @@ from shorsim import (
     modexp_oracle,
     multiplicative_order,
     prepare_uniform,
+    qft_circuit,
     run_once_classical,
     run_once_full,
     run_once_hybrid,
@@ -51,6 +52,12 @@ class TestRegisterSizing:
 
     def test_boundary_power_of_two(self):
         assert choose_register_size(4) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 2**64 - 1))
+    def test_smallest_width_holding_n_squared(self, n):
+        b = choose_register_size(n)
+        assert 2 ** (b - 1) < n * n <= 2**b
 
 
 class TestPrepareUniform:
@@ -213,6 +220,19 @@ class TestRunShor:
         assert result.factors == expected
         assert len(result.runs) <= 25
         assert result.gate_estimate > 0
+
+    @pytest.mark.parametrize("config", [
+        ShorConfig(21, seed=1),
+        ShorConfig(143, seed=3, mode="hybrid"),  # three hybrid runs
+        ShorConfig(15, seed=0, max_qubits=10),   # full falls back to hybrid
+    ], ids=["full", "hybrid", "fallback"])
+    def test_gate_estimate_is_the_sum_over_quantum_runs(self, config):
+        result = run_shor(config)
+        expected = sum(
+            qft_circuit(rec.n).gate_count + (rec.n + 1 if rec.mode == "full" else 0)
+            for rec in result.runs
+        )
+        assert result.gate_estimate == expected > 0
 
     def test_prime_input_rejected(self):
         with pytest.raises(ValueError, match="13 is prime"):
