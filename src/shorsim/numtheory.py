@@ -57,19 +57,16 @@ def extended_gcd(m: int, n: int) -> tuple[int, int, int]:
 
 
 def mod_pow(a: int, e: int, m: int) -> int:
-    """a**e mod m by square-and-multiply, reducing after every step."""
+    """a**e mod m by the built-in three-argument ``pow``.
+
+    Arguments are coerced to ``int`` first, so numpy integers are accepted
+    (``pow`` rejects them).
+    """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if e < 0:
         raise ValueError(f"exponent must be non-negative, got {e}")
-    result = 1 % m
-    base = a % m
-    while e:
-        if e & 1:
-            result = result * base % m
-        base = base * base % m
-        e >>= 1
-    return result
+    return pow(int(a), int(e), int(m))
 
 
 def multiplicative_order(a: int, n: int) -> int:

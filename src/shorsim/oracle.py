@@ -56,15 +56,15 @@ def xor_oracle(f: ReversibleFunction) -> BasisPermutation:
     """The permutation |x, y> -> |x, y XOR f(x)> on input+output qubits.
 
     A bijection for every f, and an involution: applying it twice is the
-    identity.
+    identity.  The image is one int64 array with row y and column x, so its
+    flat index is ``x + (y << in_w)``; it is filled in place, with no other
+    array of its size.
     """
     in_w, out_w = f.input_width, f.output_width
-    table = f.table()
-    idx = np.arange(1 << (in_w + out_w), dtype=np.int64)
-    xpart = idx & ((1 << in_w) - 1)
-    ypart = idx >> in_w
-    image = xpart | ((ypart ^ table[xpart]) << in_w)
-    return BasisPermutation(image)
+    image = np.arange(1 << out_w, dtype=np.int64)[:, None] ^ f.table()
+    image <<= in_w
+    image |= np.arange(1 << in_w, dtype=np.int64)
+    return BasisPermutation(image.reshape(-1))
 
 
 def modexp_oracle(a: int, n: int, in_width: int, out_width: int) -> BasisPermutation:

@@ -4,7 +4,9 @@ One full-simulation run: uniform superposition on the input register, the
 modular-exponentiation XOR oracle, an optional measurement of the output
 register (on by default; skipping it provably does not change the input
 marginal), the Fourier transform on the input register, a measurement, and
-continued-fraction period recovery.
+continued-fraction period recovery.  Once the output register is measured it
+is a basis state, so the transform and the last measurement run on the input
+register's own ``2**in_w`` amplitudes.
 
 ``hybrid`` mode replaces the oracle stage with a directly constructed
 collapsed period state (the order is computed classically), which keeps the
@@ -17,6 +19,7 @@ denominators by least common multiple (capped at the modulus) before giving
 up on a base; odd periods and trivial square roots trigger a fresh base.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +78,8 @@ class ShorConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.n_override is not None and self.n_override < 1:
+            raise ValueError(f"input-register width must be at least 1, got {self.n_override}")
 
 
 @dataclass
@@ -127,10 +132,8 @@ def build_period_state(n: int, x0: int, r: int, *, max_qubits: int = DEFAULT_MAX
     if r > (1 << n):
         raise ValueError(f"period {r} exceeds register size 2**{n}")
     state = basis_state(n, 0, max_qubits=max_qubits)
-    support = np.arange(x0, 1 << n, r)
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[support] = 1.0 / np.sqrt(support.size)
-    state.amplitudes = amps
+    state.amplitudes[0] = 0.0
+    state.amplitudes[x0::r] = 1.0 / np.sqrt(len(range(x0, 1 << n, r)))
     return state
 
 
@@ -179,6 +182,9 @@ def run_once_full(
     f_outcome = None
     if measure_f:
         f_outcome = state.measure_subregister(range(in_w, total), rng).value
+        # the output register is |f_outcome> now: keep the input register's block
+        block = state.amplitudes[f_outcome << in_w : (f_outcome + 1) << in_w]
+        state = QuantumState(in_w, block)
 
     apply_qft_on(state, range(in_w))
     y = state.measure_subregister(range(in_w), rng).value
@@ -236,15 +242,6 @@ def _perfect_power_root(n: int) -> int | None:
     return None
 
 
-def _lcm_capped(values, cap: int) -> int:
-    out = 1
-    for v in values:
-        out = out // gcd(out, v) * v
-        if out > cap:
-            return 0
-    return out
-
-
 def run_shor(config: ShorConfig) -> FactoringResult:
     """Factor a composite, retrying bases and combining runs as needed.
 
@@ -270,7 +267,7 @@ def run_shor(config: ShorConfig) -> FactoringResult:
 
     mode = config.mode
     if mode == "full":
-        in_w = config.n_override or choose_register_size(n)
+        in_w = choose_register_size(n) if config.n_override is None else config.n_override
         if in_w + _output_width(n) > config.max_qubits:
             mode = "hybrid"  # full register will not fit; keep only the input register
     # Classical mode with a forced base draws nothing, so it seeds no generator:
@@ -322,8 +319,8 @@ def run_shor(config: ShorConfig) -> FactoringResult:
             denoms = [c.q for c in record.convergents if 1 < c.q < n]
             if denoms:
                 pooled_denoms.append(max(denoms))
-                combined = _lcm_capped(pooled_denoms, n)
-                if combined == 0:
+                combined = math.lcm(*pooled_denoms)
+                if combined > n:
                     # the pool outgrew the modulus; start over from this run
                     pooled_denoms = [max(denoms)]
                     combined = pooled_denoms[0]

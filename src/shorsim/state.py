@@ -5,11 +5,12 @@ Amplitudes live in one contiguous ``numpy`` array of ``complex128`` with
 is bit ``j`` of the basis index, so qubit 0 is the least-significant bit:
 ``basis_state(3, 5)`` is ``|101>`` with qubits 0 and 2 set.
 
-Gate application mutates the state in place and returns it, so calls chain.
-Single-qubit, controlled and two-qubit gates all run through one kernel that
-updates strided views of the amplitude array, with no index tables; a gate
-with one nonzero per matrix row (X, CNOT, CCNOT, PHASE, CPHASE, SWAP) only
-moves and scales those views.
+Gates and sub-register measurements address qubits one way, with no index
+tables: the amplitudes viewed as a ``(2,)*n`` array whose axis ``n-1-q`` holds
+qubit ``q``.  Gate application mutates the state in place and returns it, so
+calls chain.  Single-qubit, controlled and two-qubit gates all run through one
+kernel that updates strided views; a gate with one nonzero per matrix row (X,
+CNOT, CCNOT, PHASE, CPHASE, SWAP) only moves and scales those views.
 Measurement draws a single uniform variate from an injected
 ``numpy.random.Generator`` and maps it through ``sample_indices``, the inverse
 CDF of the (marginal) probability array; a fixed seed therefore reproduces a
@@ -280,9 +281,12 @@ class QuantumState:
     def measure_subregister(self, qubits, rng: np.random.Generator) -> MeasurementOutcome:
         """Measure the listed qubits; bit i of the outcome is qubit ``qubits[i]``.
 
-        The state collapses to the renormalized projection onto the observed
-        outcome; unmeasured qubits keep their relative amplitudes.  The
-        renormalization divides by the exact square root of the outcome mass.
+        The measured axes of the ``(2,)*n`` view move to the front,
+        ``qubits[-1]`` first, so the index of the leading axes spells the
+        outcome and the marginal is a sum over the trailing ones.  The state
+        collapses to the renormalized projection onto the observed outcome:
+        that block of the moved view is kept, divided by the exact square root
+        of the outcome mass, and every other amplitude is zeroed.
         """
         qubits = [int(q) for q in qubits]
         if len(set(qubits)) != len(qubits):
@@ -290,16 +294,17 @@ class QuantumState:
         for q in qubits:
             self._check_qubit(q)
 
-        idx = np.arange(self.amplitudes.size, dtype=np.int64)
-        key = np.zeros_like(idx)
-        for i, q in enumerate(qubits):
-            key |= ((idx >> q) & 1) << i
-        probs = self.probabilities()
-        marginal = np.bincount(key, weights=probs, minlength=1 << len(qubits))
+        n, k = self.num_qubits, len(qubits)
+        axes = [n - 1 - q for q in reversed(qubits)]
+        probs = np.moveaxis(self.probabilities().reshape((2,) * n), axes, range(k))
+        marginal = probs.sum(axis=tuple(range(k, n))).reshape(-1)
         outcome = int(sample_indices(marginal, rng.random()))
         p = float(marginal[outcome])
-        self.amplitudes[key != outcome] = 0.0
-        self.amplitudes /= np.sqrt(p)
+        view = np.moveaxis(self.amplitudes.reshape((2,) * n), axes, range(k))
+        block = view[(*((outcome >> i) & 1 for i in reversed(range(k))), ...)]
+        kept = block / np.sqrt(p)
+        self.amplitudes.fill(0.0)
+        block[...] = kept
         return MeasurementOutcome(outcome, p)
 
     def __repr__(self):

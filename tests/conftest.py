@@ -14,6 +14,16 @@ def random_state_vector(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return (amps / np.linalg.norm(amps)).astype(np.complex128)
 
 
+class StubRng:
+    """Stands in for ``numpy.random.Generator``: every uniform draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -56,6 +56,14 @@ class TestFactor:
         assert out == ""
         assert err.count("\n") == 1 and "order search budget of 16" in err
 
+    @pytest.mark.parametrize("mode", ["full", "hybrid"])
+    @pytest.mark.parametrize("width", ["0", "-1", "-2"])
+    def test_nonpositive_qubits_exit_1(self, capsys, mode, width):
+        assert main(["factor", "15", "--mode", mode, "--qubits", width]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input-register width must be at least 1, got {width}\n"
+
     def test_too_small_exit_1(self, capsys):
         assert main(["factor", "2"]) == 1
         assert "cannot factor" in capsys.readouterr().err

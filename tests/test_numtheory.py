@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,12 @@ class TestModPow:
     def test_large_operands(self):
         a, e, m = 2**61 - 1, 2**31, 2**61 + 15
         assert mod_pow(a, e, m) == pow(a, e, m)
+
+    def test_numpy_integer_arguments(self):
+        # built-in three-argument pow raises TypeError on numpy integers
+        got = mod_pow(np.int64(7), np.int64(40), np.int64(4087))
+        assert type(got) is int
+        assert got == naive_mod_pow(7, 40, 4087)
 
 
 class TestMultiplicativeOrder:

@@ -44,6 +44,17 @@ class TestXorOracle:
                 perm.table[perm.table], np.arange(1 << (in_w + out_w))
             )
 
+    @pytest.mark.parametrize("in_w", range(5))
+    @pytest.mark.parametrize("out_w", range(1, 5))
+    def test_table_matches_literal_loop(self, rng, in_w, out_w):
+        table = rng.integers(0, 1 << out_w, size=1 << in_w)
+        f = ReversibleFunction(in_w, out_w, lambda v: int(table[v]))
+        expect = [0] * (1 << (in_w + out_w))
+        for x in range(1 << in_w):
+            for y in range(1 << out_w):
+                expect[x | (y << in_w)] = x | ((y ^ int(table[x])) << in_w)
+        assert xor_oracle(f).table.tolist() == expect
+
     def test_output_width_validated(self):
         f = ReversibleFunction(1, 1, lambda v: 2)
         with pytest.raises(ValueError, match="does not fit"):

@@ -21,7 +21,7 @@ from shorsim.gates import Gate2, Gate4
 from shorsim.qft import apply_qft, dft_reference
 from shorsim.state import QuantumState
 
-from conftest import random_state_vector, random_unitary
+from conftest import StubRng, random_state_vector, random_unitary
 
 I2 = np.eye(2, dtype=np.complex128)
 # E[i][j] = |i><j|
@@ -235,3 +235,36 @@ def test_qft_matches_dft_reference_and_numpy_fft(n, seed):
     np.testing.assert_allclose(got, dft_reference(amps), atol=1e-12)
     # numpy's inverse FFT carries the exp(+2*pi*i*x*y/N) kernel and a 1/N factor
     np.testing.assert_allclose(got, np.fft.ifft(amps) * np.sqrt(1 << n), atol=1e-12)
+
+
+@SETTINGS
+@given(st.data(), st.integers(min_value=0, max_value=6), seeds)
+def test_measure_subregister_matches_basis_loop(data, n, seed):
+    # any ordered list of distinct qubits: empty, non-contiguous, reversed or all
+    qubits = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    rng = np.random.default_rng(seed)
+    u = data.draw(st.sampled_from([0.0, float(rng.random()), np.nextafter(1.0, 0.0)]))
+    amps = random_state_vector(n, rng)
+
+    def outcome_of(i):
+        return sum(((i >> q) & 1) << b for b, q in enumerate(qubits))
+
+    marginal = [0.0] * (1 << len(qubits))
+    for i, a in enumerate(amps):
+        marginal[outcome_of(i)] += abs(a) ** 2
+    acc, expect = 0.0, None
+    for o, w in enumerate(marginal):
+        acc += w
+        if u < acc:
+            expect = o
+            break
+    if expect is None:  # u at or past the rounded total: last outcome of nonzero mass
+        expect = max(o for o, w in enumerate(marginal) if w > 0)
+    p = marginal[expect]
+    collapsed = [a / np.sqrt(p) if outcome_of(i) == expect else 0 for i, a in enumerate(amps)]
+
+    state = state_from(amps)
+    got = state.measure_subregister(qubits, StubRng(u))
+    assert got.value == expect
+    assert abs(got.probability - p) <= 1e-12
+    np.testing.assert_allclose(state.amplitudes, collapsed, atol=1e-12)

@@ -1,5 +1,7 @@
 """Factoring driver: register sizing, pipeline stages, retry policy, modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,23 @@ class TestRunOnceFull:
         assert rec.candidate_r is None
         assert rec.status == "no-candidate"
 
+    @pytest.mark.parametrize("n_to_factor, a", [(15, 7), (21, 2), (33, 5)])
+    def test_transform_on_input_block_matches_whole_register(self, n_to_factor, a):
+        # the run transforms and measures only the input register's block;
+        # doing both on the whole register draws the same y from the same rng
+        in_w = choose_register_size(n_to_factor)
+        total = in_w + shor_mod._output_width(n_to_factor)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            state = basis_state(total, 0)
+            state.amplitudes[: 1 << in_w] = prepare_uniform(in_w).amplitudes
+            state.apply_permutation(modexp_oracle(a, n_to_factor, in_w, total - in_w))
+            f = state.measure_subregister(range(in_w, total), rng).value
+            apply_qft_on(state, range(in_w))
+            y = state.measure_subregister(range(in_w), rng).value
+            rec = run_once_full(n_to_factor, a, np.random.default_rng(seed))
+            assert (rec.f_outcome, rec.y) == (f, y)
+
     def test_skipping_f_measurement_leaves_marginal_unchanged(self):
         # exact distributions, no sampling: marginal with f unmeasured equals
         # the f-measured conditional averaged over f outcomes
@@ -145,6 +164,19 @@ class TestRunOnceFull:
     def test_non_coprime_base_rejected(self):
         with pytest.raises(ValueError, match="factor"):
             run_once_full(15, 5, np.random.default_rng(0))
+
+    def test_peak_memory_below_three_state_sizes(self):
+        # numpy reports its buffers to tracemalloc; N=35 runs 11 + 6 = 17
+        # qubits, a 2 MiB state
+        state_bytes = 16 << 17
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            run_once_full(35, 2, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3 * state_bytes
 
 
 class TestCollapseShape:

@@ -19,7 +19,7 @@ from shorsim import (
 from shorsim.gates import Gate2, Gate4
 from shorsim.state import sample_indices
 
-from conftest import random_state_vector, random_unitary
+from conftest import StubRng, random_state_vector, random_unitary
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -359,16 +359,6 @@ class TestMeasureSubregister:
             counts[state_from(amps).measure_subregister([0, 2], stream).value] += 1
         sigma = np.sqrt(marginal * (1 - marginal) / draws)
         assert np.all(np.abs(counts / draws - marginal) <= 5 * sigma + 1e-12)
-
-
-class StubRng:
-    """Stands in for ``numpy.random.Generator``: every uniform draw is ``u``."""
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self, size=None):
-        return self.u if size is None else np.full(size, self.u)
 
 
 # H on qubit 0 of 2 qubits: the CDF of [1/2, 1/2, 0, 0] ends just below 1
