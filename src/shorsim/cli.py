@@ -1,9 +1,11 @@
 """Command-line surface: factoring runs, distribution tables, circuit execution.
 
 Exit codes: 0 success, 1 invalid input, 2 algorithmic failure, including an
-order search past its work budget.  All output is CSV (header row, comma
-separated, 12 significant digits, newline terminated) or plain text;
-identical command line and seed give byte-identical output.
+order search past its work budget.  Exit codes are mapped in ``main`` only:
+commands raise, and ``main`` prints the exception as one line on stderr.  All
+output is CSV (header row, comma separated, 12 significant digits, newline
+terminated) or plain text; identical command line and seed give byte-identical
+output.
 """
 
 import argparse
@@ -12,10 +14,10 @@ import sys
 
 import numpy as np
 
-from .circuit import Circuit, CircuitParseError
-from .numtheory import U64_LIMIT, OrderSearchBudgetExceeded
+from .circuit import Circuit
+from .numtheory import OrderSearchBudgetExceeded
 from .qft import apply_qft
-from .shor import ShorConfig, build_period_state, run_shor
+from .shor import MODES, ShorConfig, build_period_state, run_shor
 from .state import DEFAULT_MAX_QUBITS, basis_state, sample_indices
 
 EXIT_OK = 0
@@ -60,28 +62,17 @@ def _transcript_payload(result, config: ShorConfig) -> dict:
 
 def cmd_factor(args) -> int:
     n = args.n
-    if n < 3 or n >= U64_LIMIT:
-        print(f"cannot factor {n}: need 3 <= N < 2**64", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        config = ShorConfig(
-            n,
-            base=args.base,
-            n_override=args.qubits,
-            max_runs=args.max_runs,
-            seed=args.seed,
-            mode=args.mode,
-            measure_f=not args.skip_f_measurement,
-            max_qubits=args.max_qubits,
-        )
-        result = run_shor(config)
-    except ValueError as exc:
-        # config validation and the prime pre-check (Miller-Rabin) land here
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except OrderSearchBudgetExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAILED
+    config = ShorConfig(
+        n,
+        base=args.base,
+        n_override=args.qubits,
+        max_runs=args.max_runs,
+        seed=args.seed,
+        mode=args.mode,
+        measure_f=not args.skip_f_measurement,
+        max_qubits=args.max_qubits,
+    )
+    result = run_shor(config)
 
     if args.transcript:
         with open(args.transcript, "w") as fh:
@@ -97,13 +88,9 @@ def cmd_factor(args) -> int:
 
 
 def cmd_qft_demo(args) -> int:
-    try:
-        state = build_period_state(args.n, args.x0, args.r, max_qubits=args.max_qubits)
-        if args.stage == "after":
-            apply_qft(state)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
+    state = build_period_state(args.n, args.x0, args.r, max_qubits=args.max_qubits)
+    if args.stage == "after":
+        apply_qft(state)
     rows = ["index,probability"]
     for i, p in enumerate(state.probabilities()):
         rows.append(f"{i},{_fmt(float(p))}")
@@ -112,29 +99,12 @@ def cmd_qft_demo(args) -> int:
 
 
 def cmd_circuit_run(args) -> int:
-    try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        circuit = Circuit.parse(text)
-    except CircuitParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    if not 0 <= args.init < (1 << circuit.width):
-        print(
-            f"initial state {args.init} out of range for width {circuit.width}",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
+    with open(args.file) as fh:
+        circuit = Circuit.parse(fh.read())
     if args.shots < 1:
-        print(f"shots must be at least 1, got {args.shots}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"shots must be at least 1, got {args.shots}")
     if args.seed < 0:
-        print(f"seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
 
     # One simulation gives the output distribution; each shot is an
     # independent inverse-CDF draw from it, exactly as if the state were
@@ -168,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor an integer by order finding")
     p.add_argument("n", type=int, help="integer to factor (>= 3)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--mode", choices=["full", "hybrid", "classical"], default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--base", type=int, default=None, help="force the base a")
     p.add_argument("--max-runs", type=int, default=25)
     p.add_argument("--qubits", type=int, default=None, help="input-register width override")
@@ -205,7 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OrderSearchBudgetExceeded as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_FAILED
+    except (ValueError, OSError) as exc:
+        # ValueError covers CircuitParseError and UnicodeDecodeError
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

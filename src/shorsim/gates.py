@@ -31,48 +31,41 @@ def _validated(matrix, dim: int) -> np.ndarray:
     return m
 
 
-class Gate2:
-    """A validated 2x2 unitary."""
+class _Gate:
+    """A validated unitary; each subclass pins its size in ``__init__``."""
 
     __slots__ = ("matrix",)
+
+    def dagger(self):
+        return type(self)(self.matrix.conj().T)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.matrix.tolist()!r})"
+
+
+class Gate2(_Gate):
+    """A validated 2x2 unitary."""
+
+    __slots__ = ()
 
     def __init__(self, matrix):
         self.matrix = _validated(matrix, 2)
 
-    def dagger(self) -> "Gate2":
-        return Gate2(self.matrix.conj().T)
 
-    def __eq__(self, other):
-        if not isinstance(other, Gate2):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Gate2({self.matrix.tolist()!r})"
-
-
-class Gate4:
+class Gate4(_Gate):
     """A validated 4x4 unitary."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, matrix):
         self.matrix = _validated(matrix, 4)
-
-    def dagger(self) -> "Gate4":
-        return Gate4(self.matrix.conj().T)
-
-    def __eq__(self, other):
-        if not isinstance(other, Gate4):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Gate4({self.matrix.tolist()!r})"
 
 
 def is_unitary(gate) -> bool:
@@ -80,7 +73,7 @@ def is_unitary(gate) -> bool:
 
     Accepts a :class:`Gate2`, :class:`Gate4`, or a raw square matrix.
     """
-    if isinstance(gate, (Gate2, Gate4)):
+    if isinstance(gate, _Gate):
         return True  # validated at construction
     m = np.asarray(gate, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

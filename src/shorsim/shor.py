@@ -64,10 +64,8 @@ class ShorConfig:
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
-        if self.n_to_factor < 3:
-            raise ValueError(f"nothing to factor below 3, got {self.n_to_factor}")
-        if self.n_to_factor >= U64_LIMIT:
-            raise ValueError(f"{self.n_to_factor} exceeds the 64-bit input cap")
+        if not 3 <= self.n_to_factor < U64_LIMIT:
+            raise ValueError(f"cannot factor {self.n_to_factor}: need 3 <= N < 2**64")
         if self.max_runs < 1:
             raise ValueError(f"max_runs must be at least 1, got {self.max_runs}")
         if self.mode not in MODES:

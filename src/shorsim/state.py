@@ -21,6 +21,8 @@ States are exclusively owned while mutated.  ``probabilities`` and
 state.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .gates import Gate2, Gate4
@@ -54,22 +56,12 @@ def sample_indices(weights, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), np.searchsorted(cdf, cdf[-1]))
 
 
+@dataclass(slots=True)
 class MeasurementOutcome:
     """Observed bit pattern of the measured qubits and its pre-measurement mass."""
 
-    __slots__ = ("value", "probability")
-
-    def __init__(self, value: int, probability: float):
-        self.value = int(value)
-        self.probability = float(probability)
-
-    def __repr__(self):
-        return f"MeasurementOutcome(value={self.value}, probability={self.probability})"
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasurementOutcome):
-            return NotImplemented
-        return self.value == other.value and self.probability == other.probability
+    value: int
+    probability: float
 
 
 class BasisPermutation:

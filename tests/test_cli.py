@@ -1,12 +1,18 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import contextlib
+import functools
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shorsim.qft as qft_mod
 from shorsim import numtheory, selftest
 from shorsim.cli import main
+from shorsim.state import basis_state
 
 BELL_FILE = "qubits 2\nH 0\nCNOT 0 1\n"
 
@@ -194,6 +200,102 @@ class TestCircuitRun:
         assert "shots" in capsys.readouterr().err
         assert main(["circuit", "run", str(f), "--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err
+
+
+def _circuit_file(tmp_path, content: bytes):
+    f = tmp_path / "c.txt"
+    f.write_bytes(content)
+    return str(f)
+
+
+# Each of these once escaped main as a traceback; main now maps it to exit 1.
+ESCAPED_FAILURES = {
+    "register-over-cap": (
+        lambda d: ["circuit", "run", _circuit_file(d, b"qubits 40\n")], "40 qubits"),
+    "circuit-not-utf8": (
+        lambda d: ["circuit", "run", _circuit_file(d, b"H 0\n\xff\xfe\n")], "codec"),
+    "qft-demo-out-missing-dir": (
+        lambda d: ["qft-demo", "--n", "3", "--x0", "0", "--r", "2", "--stage", "after",
+                   "--out", str(d / "missing" / "x.csv")], "No such file"),
+    "circuit-out-missing-dir": (
+        lambda d: ["circuit", "run", _circuit_file(d, BELL_FILE.encode()),
+                   "--out", str(d / "missing" / "h.csv")], "No such file"),
+    "transcript-missing-dir": (
+        lambda d: ["factor", "15", "--transcript", str(d / "missing" / "t.json")],
+        "No such file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPED_FAILURES))
+def test_escaped_failure_exits_1(tmp_path, capsys, case):
+    argv, cause = ESCAPED_FAILURES[case]
+    assert main(argv(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and cause in err
+
+
+# -- fuzz of main over circuit run and qft-demo --------------------------------
+# basis_state is capped at 12 qubits and qft-demo gets --max-qubits 12, so no
+# generated input allocates more than 2**12 amplitudes (64 KiB); --shots stays
+# at or below 2000 because each shot draws an 8-byte variate.
+
+FUZZ_CAP = 12
+_qubit = st.integers(-2, FUZZ_CAP + 1).map(str)
+_number = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "-inf", "1e308"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+def _line(name, n_qubits, n_nums):
+    return st.tuples(st.lists(_qubit, min_size=n_qubits, max_size=n_qubits),
+                     st.lists(_number, min_size=n_nums, max_size=n_nums)).map(
+        lambda qn: " ".join([name, *qn[0], *qn[1]]))
+
+
+_circuit_line = st.one_of(
+    st.integers(0, 40).map(lambda w: f"qubits {w}"),
+    _line("H", 1, 0), _line("X", 1, 0), _line("PHASE", 1, 1), _line("CNOT", 2, 0),
+    _line("CCNOT", 3, 0), _line("CPHASE", 2, 1), _line("U2", 1, 8), _line("U4", 2, 32),
+)
+_circuit_text = st.one_of(
+    st.lists(_circuit_line, max_size=8).map(lambda ls: "\n".join(ls).encode()),
+    st.binary(max_size=64),
+)
+
+
+def _fuzz_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue() != ""
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_circuit_text, init=st.integers(-2, 5000), shots=st.integers(0, 2000),
+       seed=st.integers(-2, 2**32))
+def test_fuzz_circuit_run(fuzz_dir, text, init, shots, seed):
+    path = _circuit_file(fuzz_dir, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("shorsim.cli.basis_state", functools.partial(basis_state, max_qubits=FUZZ_CAP))
+        _fuzz_main(["circuit", "run", path, "--init", str(init),
+                    "--shots", str(shots), "--seed", str(seed)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(-2, 40), x0=st.integers(-2, 2**41), r=st.integers(-2, 2**41),
+       stage=st.sampled_from(["before", "after"]))
+def test_fuzz_qft_demo(n, x0, r, stage):
+    _fuzz_main(["qft-demo", "--n", str(n), "--x0", str(x0), "--r", str(r),
+                "--stage", stage, "--max-qubits", str(FUZZ_CAP)])
 
 
 class TestDeterminism:
