@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 invalid input, 2 algorithmic failure, including an
 order search past its work budget.  Exit codes are mapped in ``main`` only:
-commands raise, and ``main`` prints the exception as one line on stderr.  All
+commands raise, and ``main`` prints the exception as one line on stderr.  A
+command line argparse rejects is invalid input too: its usage line and error
+go to stderr and ``main`` returns 1; ``--help`` returns 0.  All
 output is CSV (header row, comma separated, 12 significant digits, newline
 terminated) or plain text; identical command line and seed give byte-identical
 output.
@@ -174,7 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 after printing a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         return args.func(args)
     except OrderSearchBudgetExceeded as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import circuit as circ
 from .circuit import Circuit
-from .numtheory import gcd, mod_pow
+from .numtheory import gcd
 from .state import BasisPermutation, basis_state
 
 
@@ -52,6 +52,13 @@ class ReversibleFunction:
         return out
 
 
+def _xor_image(fx: np.ndarray, in_w: int, out_w: int) -> BasisPermutation:
+    image = np.arange(1 << out_w, dtype=np.int64)[:, None] ^ fx
+    image <<= in_w
+    image |= np.arange(1 << in_w, dtype=np.int64)
+    return BasisPermutation(image.reshape(-1))
+
+
 def xor_oracle(f: ReversibleFunction) -> BasisPermutation:
     """The permutation |x, y> -> |x, y XOR f(x)> on input+output qubits.
 
@@ -60,15 +67,16 @@ def xor_oracle(f: ReversibleFunction) -> BasisPermutation:
     flat index is ``x + (y << in_w)``; it is filled in place, with no other
     array of its size.
     """
-    in_w, out_w = f.input_width, f.output_width
-    image = np.arange(1 << out_w, dtype=np.int64)[:, None] ^ f.table()
-    image <<= in_w
-    image |= np.arange(1 << in_w, dtype=np.int64)
-    return BasisPermutation(image.reshape(-1))
+    return _xor_image(f.table(), f.input_width, f.output_width)
 
 
 def modexp_oracle(a: int, n: int, in_width: int, out_width: int) -> BasisPermutation:
-    """XOR oracle of f(x) = a**x mod n."""
+    """XOR oracle of f(x) = a**x mod n.
+
+    The table of a**x mod n for x < 2**in_width is built by doubling,
+    ``t[s:2s] = t[:s] * (a**s mod n) % n`` for s = 1, 2, 4, ..., which is
+    ``in_width`` vector steps in int64; ``n*n`` must therefore stay below 2**63.
+    """
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
     if gcd(a, n) != 1:
@@ -77,8 +85,18 @@ def modexp_oracle(a: int, n: int, in_width: int, out_width: int) -> BasisPermuta
         raise ValueError(
             f"output register of {out_width} bits cannot hold residues mod {n}"
         )
-    f = ReversibleFunction(in_width, out_width, lambda xv: mod_pow(a, xv, n))
-    return xor_oracle(f)
+    if n * n >= 1 << 63:
+        raise ValueError(f"modulus {n} too large: the int64 table needs n*n < 2**63")
+    if in_width < 0:
+        raise ValueError(f"bad widths: input {in_width}, output {out_width}")
+    table = np.empty(1 << in_width, dtype=np.int64)
+    table[0] = 1
+    step, size = int(a) % n, 1
+    while size < table.size:
+        np.multiply(table[:size], step, out=table[size : 2 * size])
+        table[size : 2 * size] %= n
+        step, size = step * step % n, 2 * size
+    return _xor_image(table, in_width, out_width)
 
 
 def multi_and_circuit(k: int) -> Circuit:

@@ -9,6 +9,11 @@ the -2*pi*i kernel.  The gate realization is the Hadamard / controlled-phase
 ladder with terminal qubit-reversal SWAPs (one two-qubit gate each), so
 
     gate_count(qft_circuit(n)) == n*(n+1)//2 + n//2
+
+``apply_qft_on`` walks the ops of ``qft_circuit(k)`` once over a strided view of
+the amplitudes, with the gate kernel's arithmetic in its operand order: its
+output is bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)``, the
+reference, except that an exact zero may come out with the other sign.
 """
 
 from functools import lru_cache
@@ -17,7 +22,10 @@ import numpy as np
 
 from . import circuit as circ
 from .circuit import Circuit
+from .gates import swap_gate
 from .state import QuantumState
+
+_SWAP = swap_gate()
 
 
 @lru_cache(maxsize=16)
@@ -73,15 +81,61 @@ def _qft_ops(n: int) -> tuple[circ.GateOp, ...]:
     return tuple(c.ops)
 
 
+def _walk(view: np.ndarray, ops) -> list[int]:
+    """Run ladder ``ops`` in place on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
+
+    A SWAP only exchanges which axes hold its qubits; the result lists the
+    axis that holds each qubit at the end.
+    """
+    k = view.ndim - 2
+    axes = list(range(k, 0, -1))
+    scratch = np.empty(view.size // 2, dtype=view.dtype)
+
+    def part(*bits):
+        index = [slice(None)] * view.ndim
+        for q, b in bits:
+            index[axes[q]] = b
+        return view[tuple(index)]
+
+    for op in ops:
+        if op.name == "H":
+            # the dense kernel's rows s*p0 + s*p1 and s*p0 + (-s)*p1, less the sign of a zero
+            p0, p1 = part((op.targets[0], 0)), part((op.targets[0], 1))
+            t = scratch.reshape(p0.shape)
+            s = op.gate.matrix[0, 0]
+            np.multiply(s, p0, out=t)
+            np.multiply(s, p1, out=p1)
+            np.add(t, p1, out=p0)
+            np.subtract(t, p1, out=p1)
+        elif op.name == "CPHASE":
+            both = part((min(op.controls), 1), (op.targets[0], 1))
+            np.multiply(op.gate.matrix[1, 1], both, out=both)
+        elif op.gate == _SWAP and not op.controls:
+            a, b = op.targets
+            axes[a], axes[b] = axes[b], axes[a]
+        else:
+            raise ValueError(f"the QFT walker cannot apply {op.name or 'an unnamed op'} on {op.qubits()}")
+    return axes
+
+
 def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
-    """Apply the transform to a contiguous ascending qubit range, identity elsewhere."""
+    """Apply the transform to a contiguous ascending qubit range, identity elsewhere.
+
+    The qubit reversal at the end is one transposed copy of the amplitudes.
+    """
     qubits = [int(q) for q in qubits]
     if not qubits:
         raise ValueError("qubit subset must not be empty")
-    lo = qubits[0]
-    if qubits != list(range(lo, lo + len(qubits))):
+    lo, k = qubits[0], len(qubits)
+    if qubits != list(range(lo, lo + k)):
         raise ValueError(f"qubit subset {qubits} is not contiguous ascending")
-    return qft_circuit(len(qubits)).embedded(state.num_qubits, lo).run(state)
+    if lo < 0 or lo + k > state.num_qubits:
+        raise ValueError(f"qubits {lo}..{lo + k - 1} out of range for {state.num_qubits} qubits")
+    view = state.amplitudes.reshape((-1,) + (2,) * k + (1 << lo,))
+    axes = _walk(view, qft_circuit(k).ops)
+    order = [0, *(axes[q] for q in reversed(range(k))), k + 1]
+    state.amplitudes = np.ascontiguousarray(view.transpose(order)).reshape(-1)
+    return state
 
 
 def apply_qft(state: QuantumState) -> QuantumState:

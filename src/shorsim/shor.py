@@ -39,7 +39,7 @@ from .numtheory import (
 )
 from .oracle import modexp_oracle
 from .qft import apply_qft_on, qft_circuit
-from .state import DEFAULT_MAX_QUBITS, QuantumState, basis_state
+from .state import DEFAULT_MAX_QUBITS, QuantumState, _check_width, basis_state
 
 STATUS_PERIOD_FOUND = "period-found"
 STATUS_NO_CANDIDATE = "no-candidate"
@@ -116,13 +116,15 @@ def choose_register_size(n: int) -> int:
 def prepare_uniform(n: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
     """|0..0> with a Hadamard on every qubit: the unentangled uniform superposition."""
     state = basis_state(n, 0, max_qubits=max_qubits)
+    h = hadamard()
     for q in range(n):
-        state.apply_single(hadamard(), q)
+        state.apply_single(h, q)
     return state
 
 
 def build_period_state(n: int, x0: int, r: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
     """Uniform superposition over {x0 + k*r < 2**n}: the post-collapse input register."""
+    _check_width(n, max_qubits)
     if r < 1:
         raise ValueError(f"period must be positive, got {r}")
     if not 0 <= x0 < r:

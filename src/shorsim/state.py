@@ -31,16 +31,17 @@ from .gates import Gate2, Gate4
 # is the point where a dense desk-scale simulation stops being sensible.
 DEFAULT_MAX_QUBITS = 30
 
-_BYTES_PER_AMPLITUDE = 16
-
 
 def _check_width(n: int, max_qubits: int) -> None:
     if n < 0:
         raise ValueError(f"qubit count must be non-negative, got {n}")
     if n > max_qubits:
-        need = _BYTES_PER_AMPLITUDE * (1 << n)
+        # 16 = 2**4 bytes per amplitude.  The exact count is spelled out only
+        # below 64 qubits: building 1 << n takes n/8 bytes and its decimal
+        # string hits the interpreter's digit limit.
+        size = f"2**{n + 4} = {16 << n}" if n < 64 else f"2**{n + 4}"
         raise ValueError(
-            f"{n} qubits would need 2**{n} amplitudes ({need} bytes); "
+            f"{n} qubits would need 2**{n} amplitudes ({size} bytes); "
             f"cap is {max_qubits} qubits (pass max_qubits to override)"
         )
 

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,42 @@ def test_escaped_failure_exits_1(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and cause in err
+
+
+@pytest.mark.parametrize("argv", [["factor", "abc"], ["factor", "15", "--mode", "bogus"], []])
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: shorsim")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: shorsim")
+
+
+HUGE_WIDTHS = {
+    "qft-demo": lambda d: ["qft-demo", "--n", "200000000", "--x0", "0", "--r", "1",
+                           "--stage", "after"],
+    "circuit-header": lambda d: ["circuit", "run", _circuit_file(d, b"qubits 200000000\n")],
+    "circuit-inferred": lambda d: ["circuit", "run", _circuit_file(d, b"X 199999999\n")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_WIDTHS))
+def test_huge_width_rejected_before_allocating(tmp_path, capsys, case):
+    argv = HUGE_WIDTHS[case](tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err == ("200000000 qubits would need 2**200000000 amplitudes (2**200000004 bytes); "
+                   "cap is 30 qubits (pass max_qubits to override)\n")
 
 
 # -- fuzz of main over circuit run and qft-demo --------------------------------

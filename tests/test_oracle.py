@@ -1,7 +1,11 @@
 """XOR-embedded oracles, garbage uncompute, reversible AND networks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shorsim import (
     BasisPermutation,
@@ -170,6 +174,20 @@ class TestModexpOracle:
     def test_narrow_output_rejected(self):
         with pytest.raises(ValueError, match="cannot hold"):
             modexp_oracle(2, 15, 4, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 5000), a=st.integers(1, 10**6), in_w=st.integers(0, 9),
+           spare=st.integers(0, 2))
+    def test_doubling_table_matches_per_x_pow(self, n, a, in_w, spare):
+        assume(math.gcd(a, n) == 1)
+        out_w = (n - 1).bit_length() + spare
+        per_x = xor_oracle(ReversibleFunction(in_w, out_w, lambda xv: pow(a, xv, n)))
+        assert modexp_oracle(a, n, in_w, out_w) == per_x
+
+    def test_int64_product_guard(self):
+        # 3037000501**2 > 2**63: the table's products would overflow int64
+        with pytest.raises(ValueError, match=r"n\*n < 2\*\*63"):
+            modexp_oracle(2, 3037000501, 1, 32)
 
 
 class TestGarbageNecessity:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shorsim.qft as qft_mod
 from shorsim import circuit as circ
 from shorsim import (
+    QuantumState,
     apply_qft,
     apply_qft_on,
     basis_state,
@@ -196,3 +200,53 @@ class TestApplyOnSubset:
     def test_descending_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):
             apply_qft_on(basis_state(4, 0), [2, 1, 0])
+
+
+def gate_ladder(amps, lo, k) -> np.ndarray:
+    """The reference: the embedded ladder run op by op through the gate kernel."""
+    n = len(amps).bit_length() - 1
+    return qft_circuit(k).embedded(n, lo).run(QuantumState(n, amps.copy())).amplitudes
+
+
+def walked(amps, lo, k) -> np.ndarray:
+    n = len(amps).bit_length() - 1
+    return apply_qft_on(QuantumState(n, amps.copy()), range(lo, lo + k)).amplitudes
+
+
+def assert_bitwise_equal(got, expect):
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+class TestFusedWalker:
+    @pytest.mark.parametrize("n", range(1, 11))
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_gate_ladder_on_every_range(self, n, seed):
+        amps = random_state_vector(n, np.random.default_rng(seed))
+        for k in range(1, n + 1):
+            for lo in range(n - k + 1):
+                assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
+
+    def test_bitwise_equal_on_18_qubit_period_state(self):
+        amps = build_period_state(18, 5, 91).amplitudes
+        assert_bitwise_equal(walked(amps, 0, 18), gate_ladder(amps, 0, 18))
+
+    def test_signed_zero_inputs_compare_equal(self, rng):
+        # exact zeros of either sign may come out with the other sign, never another value
+        values = np.array([0.0, -0.0, 1.0, -0.5, 2.0])
+        for n in range(1, 7):
+            amps = np.empty(1 << n, dtype=np.complex128)
+            amps.real, amps.imag = rng.choice(values, 1 << n), rng.choice(values, 1 << n)
+            for k in range(1, n + 1):
+                for lo in range(n - k + 1):
+                    np.testing.assert_array_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
+
+    def test_range_past_register_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_qft_on(basis_state(3, 0), [2, 3])
+
+    def test_op_outside_the_ladder_rejected(self, monkeypatch):
+        true_builder = qft_mod.qft_circuit
+        monkeypatch.setattr(qft_mod, "qft_circuit", lambda k: true_builder(k).append(circ.x(0)))
+        with pytest.raises(ValueError, match="cannot apply X"):
+            apply_qft(basis_state(3, 0))
