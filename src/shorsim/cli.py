@@ -110,11 +110,17 @@ def cmd_circuit_run(args) -> int:
 
     # One simulation gives the output distribution; each shot is an
     # independent inverse-CDF draw from it, exactly as if the state were
-    # re-prepared and measured afresh.
+    # re-prepared and measured afresh.  Shots are drawn and counted in blocks,
+    # so memory does not grow with their number; the generator yields the
+    # same variates however the draws are split.
     state = circuit.run(basis_state(circuit.width, args.init))
     rng = np.random.default_rng(args.seed)
-    draws = sample_indices(state.probabilities(), rng.random(args.shots))
-    counts = np.bincount(draws, minlength=1 << circuit.width)
+    probs = state.probabilities()
+    counts = np.zeros(probs.size, dtype=np.int64)
+    block = max(probs.size, 1 << 16)
+    for start in range(0, args.shots, block):
+        draws = sample_indices(probs, rng.random(min(block, args.shots - start)))
+        counts += np.bincount(draws, minlength=probs.size)
 
     rows = ["outcome,count"]
     for outcome in np.flatnonzero(counts):

@@ -11,9 +11,15 @@ ladder with terminal qubit-reversal SWAPs (one two-qubit gate each), so
     gate_count(qft_circuit(n)) == n*(n+1)//2 + n//2
 
 ``apply_qft_on`` walks the ops of ``qft_circuit(k)`` once over a strided view of
-the amplitudes, with the gate kernel's arithmetic in its operand order: its
-output is bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)``, the
-reference, except that an exact zero may come out with the other sign.
+the amplitudes, with the gate kernel's arithmetic in its operand order.  Half-way
+through the ladder it copies the amplitudes once with the qubit order reversed,
+so every op works on long contiguous runs and the SWAPs leave them in order;
+before that, a CPHASE controlled by one of the 3 lowest qubits multiplies the
+target's bit-1 half by a row of its coefficient and exact ones.  Its output is
+bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)``, the reference,
+except that an exact zero may come out with the other sign: the butterfly
+subtracts where the kernel adds a negated product, and a product by exactly 1
+can only flip the sign of a zero.
 """
 
 from functools import lru_cache
@@ -81,15 +87,32 @@ def _qft_ops(n: int) -> tuple[circ.GateOp, ...]:
     return tuple(c.ops)
 
 
-def _walk(view: np.ndarray, ops) -> list[int]:
-    """Run ladder ``ops`` in place on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
+# picking from ``(1, c)`` by ``_ROW_PICKS[m]`` gives c where bit m of the 3
+# lowest qubits is 1 and 1 elsewhere: the row of a CPHASE controlled by qubit m
+_ROW_PICKS = tuple(((np.arange(8) >> m) & 1).reshape(2, 2, 2, 1) for m in range(3))
 
-    A SWAP only exchanges which axes hold its qubits; the result lists the
-    axis that holds each qubit at the end.
+
+def _walk(view: np.ndarray, ops) -> np.ndarray:
+    """Run ladder ``ops`` on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
+
+    Returns the amplitudes after the ops, in the same layout.  An op that
+    fixes a low qubit runs on short contiguous runs, so before the first H on
+    a qubit below ``k//2`` the amplitudes are copied once with the qubit axes
+    reversed; every later op fixes only high axes.  Until that copy, a CPHASE
+    whose control is one of the 3 lowest qubits multiplies the target's whole
+    bit-1 half by an 8-entry row that holds its coefficient where the control
+    is 1 and exactly 1 elsewhere; a product by exactly 1 can only flip the
+    sign of a zero, the latitude the butterfly already takes.  A SWAP only
+    exchanges which axes hold its qubits, so after the ladder's SWAPs the
+    reversed copy is in order again.  The copy's buffer is allocated first:
+    its first half is the H scratch until the copy, the old amplitudes after.
     """
     k = view.ndim - 2
     axes = list(range(k, 0, -1))
-    scratch = np.empty(view.size // 2, dtype=view.dtype)
+    # a single qubit is never reversed, so it needs only the scratch half
+    spare = np.empty_like(view if k > 1 else view[:, :1])
+    scratch = spare.reshape(-1)[: view.size // 2]
+    pair = np.ones(2, dtype=view.dtype)
 
     def part(*bits):
         index = [slice(None)] * view.ndim
@@ -99,8 +122,13 @@ def _walk(view: np.ndarray, ops) -> list[int]:
 
     for op in ops:
         if op.name == "H":
+            i = op.targets[0]
+            if i < k // 2 and view is not spare:
+                np.copyto(spare, view.transpose(0, *range(k, 0, -1), k + 1))
+                view, scratch = spare, view.reshape(-1)[: view.size // 2]
+                axes = [k + 1 - a for a in axes]
             # the dense kernel's rows s*p0 + s*p1 and s*p0 + (-s)*p1, less the sign of a zero
-            p0, p1 = part((op.targets[0], 0)), part((op.targets[0], 1))
+            p0, p1 = part((i, 0)), part((i, 1))
             t = scratch.reshape(p0.shape)
             s = op.gate.matrix[0, 0]
             np.multiply(s, p0, out=t)
@@ -108,20 +136,29 @@ def _walk(view: np.ndarray, ops) -> list[int]:
             np.add(t, p1, out=p0)
             np.subtract(t, p1, out=p1)
         elif op.name == "CPHASE":
-            both = part((min(op.controls), 1), (op.targets[0], 1))
-            np.multiply(op.gate.matrix[1, 1], both, out=both)
+            m, i, c = min(op.controls), op.targets[0], op.gate.matrix[1, 1]
+            if m < 3 <= i and view is not spare:
+                half = part((i, 1))
+                pair[1] = c
+                np.multiply(pair[_ROW_PICKS[m]], half, out=half)
+            else:
+                both = part((m, 1), (i, 1))
+                np.multiply(c, both, out=both)
         elif op.gate == _SWAP and not op.controls:
             a, b = op.targets
             axes[a], axes[b] = axes[b], axes[a]
         else:
             raise ValueError(f"the QFT walker cannot apply {op.name or 'an unnamed op'} on {op.qubits()}")
-    return axes
+    return np.ascontiguousarray(view.transpose(0, *(axes[q] for q in reversed(range(k))), k + 1))
 
 
 def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     """Apply the transform to a contiguous ascending qubit range, identity elsewhere.
 
-    The qubit reversal at the end is one transposed copy of the amplitudes.
+    Bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)`` up to the
+    sign of an exact zero.  For two or more qubits the amplitudes end up in
+    the one state-size array the walk allocates, the reversed copy made
+    half-way through the ladder; the old array serves it as scratch.
     """
     qubits = [int(q) for q in qubits]
     if not qubits:
@@ -132,9 +169,7 @@ def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     if lo < 0 or lo + k > state.num_qubits:
         raise ValueError(f"qubits {lo}..{lo + k - 1} out of range for {state.num_qubits} qubits")
     view = state.amplitudes.reshape((-1,) + (2,) * k + (1 << lo,))
-    axes = _walk(view, qft_circuit(k).ops)
-    order = [0, *(axes[q] for q in reversed(range(k))), k + 1]
-    state.amplitudes = np.ascontiguousarray(view.transpose(order)).reshape(-1)
+    state.amplitudes = _walk(view, qft_circuit(k).ops).reshape(-1)
     return state
 
 

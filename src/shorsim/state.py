@@ -51,9 +51,13 @@ def sample_indices(weights, u):
 
     Index ``i`` covers ``[cdf[i-1], cdf[i])``.  A variate at or past the
     rounded total lands on the last index of nonzero weight, so a zero-weight
-    index is never returned.  ``u`` may be a scalar or an array.
+    index is never returned.  ``u`` may be a scalar or an array.  Raises
+    ``ValueError`` unless the total weight is positive: with no mass there is
+    nothing to draw.
     """
     cdf = np.cumsum(weights)
+    if not cdf[-1] > 0:
+        raise ValueError(f"cannot sample from total weight {cdf[-1]}")
     return np.minimum(np.searchsorted(cdf, u, side="right"), np.searchsorted(cdf, cdf[-1]))
 
 

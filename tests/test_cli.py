@@ -6,14 +6,15 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shorsim.qft as qft_mod
-from shorsim import numtheory, selftest
+from shorsim import Circuit, numtheory, selftest
 from shorsim.cli import main
-from shorsim.state import basis_state
+from shorsim.state import basis_state, sample_indices
 
 BELL_FILE = "qubits 2\nH 0\nCNOT 0 1\n"
 
@@ -178,6 +179,25 @@ class TestCircuitRun:
                      "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert rows == [["5", "50"]]
+
+    def test_many_shots_counted_in_blocks(self, tmp_path):
+        # 3M shots drawn at once would hold 48 MiB of variates and indices
+        f = tmp_path / "bell.txt"
+        f.write_text(BELL_FILE)
+        out = tmp_path / "hist.csv"
+        shots = 3_000_000
+        tracemalloc.start()
+        try:
+            assert main(["circuit", "run", str(f), "--shots", str(shots),
+                         "--seed", "7", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        probs = Circuit.parse(BELL_FILE).run(basis_state(2, 0)).probabilities()
+        draws = sample_indices(probs, np.random.default_rng(7).random(shots))
+        counts = np.bincount(draws, minlength=4)
+        assert read_csv(out)[1] == [["0", str(counts[0])], ["3", str(counts[3])]]
 
     def test_malformed_line_reports_position(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"

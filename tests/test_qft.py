@@ -1,5 +1,7 @@
 """Fourier-transform circuit against the direct reference transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,19 @@ class TestFusedWalker:
             for k in range(1, n + 1):
                 for lo in range(n - k + 1):
                     np.testing.assert_array_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
+
+    def test_transient_memory_within_a_quarter_above_one_state(self):
+        # numpy reports its buffers to tracemalloc; the walker's one new array
+        # is the reversed copy, and the old amplitudes are its scratch
+        state = build_period_state(18, 5, 91)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            apply_qft(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.25 * state.amplitudes.nbytes
 
     def test_range_past_register_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

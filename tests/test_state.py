@@ -380,6 +380,22 @@ class TestSamplerTail:
         assert out.probability > 0
         assert np.all(np.isfinite(s.amplitudes))
 
+    @pytest.mark.parametrize("weights", [[0.0] * 4, [0.0, -0.0], [np.nan, 1.0]])
+    def test_no_mass_rejected(self, weights):
+        with pytest.raises(ValueError, match="total weight"):
+            sample_indices(np.array(weights), 0.5)
+
+    def test_measure_all_of_zero_state_rejected(self):
+        s = QuantumState(2, np.zeros(4))
+        with pytest.raises(ValueError, match="total weight"):
+            s.measure_all(StubRng(0.0))
+
+    def test_measure_subregister_of_zero_state_writes_no_nan(self):
+        s = QuantumState(2, np.zeros(4))
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="total weight"):
+            s.measure_subregister([0], StubRng(0.0))
+        assert np.array_equal(s.amplitudes, np.zeros(4))
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=12)
