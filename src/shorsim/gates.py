@@ -3,8 +3,11 @@
 Gates are immutable values: the matrix is validated as unitary once, at
 construction, and frozen.  The application kernel in :mod:`shorsim.state`
 trusts that check and never re-validates; it only looks at which entries are
-zero, to move and scale slices for gates with one nonzero per row.
+zero, to move and scale slices for gates with one nonzero per row.  The
+constant gates (identity, X, H, SWAP) are built once per process and shared.
 """
+
+from functools import cache
 
 import numpy as np
 
@@ -40,6 +43,8 @@ class _Gate:
         return type(self)(self.matrix.conj().T)
 
     def __eq__(self, other):
+        if other is self:
+            return True  # a shared constant gate; matrices are finite
         if type(other) is not type(self):
             return NotImplemented
         return np.array_equal(self.matrix, other.matrix)
@@ -83,15 +88,18 @@ def is_unitary(gate) -> bool:
     return _unitarity_defect(m) <= UNITARITY_TOL
 
 
+@cache
 def identity_gate() -> Gate2:
     return Gate2(np.eye(2))
 
 
+@cache
 def not_gate() -> Gate2:
     """X: |0> -> |1>, |1> -> |0>."""
     return Gate2([[0, 1], [1, 0]])
 
 
+@cache
 def hadamard() -> Gate2:
     """H: |0> -> (|0>+|1>)/sqrt2, |1> -> (|0>-|1>)/sqrt2."""
     return Gate2([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
@@ -108,6 +116,7 @@ def phase_shift(angle: float) -> Gate2:
     return Gate2([[1, 0], [0, np.exp(1j * angle)]])
 
 
+@cache
 def swap_gate() -> Gate4:
     """SWAP on a qubit pair (basis order |q1 q0>: 00, 01, 10, 11)."""
     return Gate4([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])

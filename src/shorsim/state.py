@@ -266,12 +266,13 @@ class QuantumState:
         """Sample a basis state with probability |a_x|^2 and collapse onto it.
 
         Uses one uniform draw and an inverse-CDF walk, so a zero-probability
-        outcome can never be sampled.
+        outcome can never be sampled.  Like every gate, the collapse mutates
+        the amplitude array in place: it is zeroed and the outcome set to 1.
         """
         probs = self.probabilities()
         idx = int(sample_indices(probs, rng.random()))
         p = float(probs[idx])
-        self.amplitudes = np.zeros_like(self.amplitudes)
+        self.amplitudes.fill(0.0)
         self.amplitudes[idx] = 1.0
         return MeasurementOutcome(idx, p)
 

@@ -132,3 +132,11 @@ def test_cnot_is_a_basis_permutation_matrix():
 def test_gate_matrices_are_read_only():
     with pytest.raises(ValueError):
         hadamard().matrix[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("build", [identity_gate, not_gate, hadamard, swap_gate])
+def test_constant_gates_built_once_and_stay_read_only(build):
+    gate = build()
+    assert build() is gate
+    with pytest.raises(ValueError):
+        gate.matrix[0, 0] = 2.0

@@ -256,6 +256,44 @@ class TestFusedWalker:
             tracemalloc.stop()
         assert peak - base <= 1.25 * state.amplitudes.nbytes
 
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_result_independent_of_callers_buffer_size(self, n, rng):
+        # at 12-14 q the walker's ops run on contiguous runs short enough for
+        # numpy to buffer them, so the caller's setting would matter if it leaked in
+        amps = random_state_vector(n, rng)
+        expect = walked(amps, 0, n)
+        for size in (16, 8192, 2**20):
+            with np.errstate():
+                np.setbufsize(size)
+                assert_bitwise_equal(walked(amps, 0, n), expect)
+
+    def test_walk_runs_at_its_buffer_size(self, monkeypatch):
+        seen = []
+        true_walk = qft_mod._walk
+
+        def spy(view, ops):
+            seen.append(np.getbufsize())
+            return true_walk(view, ops)
+
+        monkeypatch.setattr(qft_mod, "_walk", spy)
+        apply_qft(basis_state(3, 0))
+        assert seen == [qft_mod._BUFSIZE]
+
+    def test_buffer_size_restored_after_transform(self):
+        with np.errstate():
+            np.setbufsize(4096)
+            apply_qft(basis_state(5, 3))
+            assert np.getbufsize() == 4096
+
+    def test_buffer_size_restored_after_walk_raises(self, monkeypatch):
+        true_builder = qft_mod.qft_circuit
+        monkeypatch.setattr(qft_mod, "qft_circuit", lambda k: true_builder(k).append(circ.x(0)))
+        with np.errstate():
+            np.setbufsize(4096)
+            with pytest.raises(ValueError, match="cannot apply X"):
+                apply_qft(basis_state(3, 0))
+            assert np.getbufsize() == 4096
+
     def test_range_past_register_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_qft_on(basis_state(3, 0), [2, 3])

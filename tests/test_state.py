@@ -1,5 +1,7 @@
 """Core state-vector behavior: gate kernels, permutations, measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,23 @@ class TestMeasureAll:
         s = state_from([0, 1, 0, 0])
         for seed in range(20):
             assert state_from(s.amplitudes).measure_all(np.random.default_rng(seed)).value == 1
+
+    def test_collapses_in_place_within_a_tenth_above_one_state(self):
+        # numpy reports its buffers to tracemalloc; the probabilities and their
+        # cumulative sum are half a state each, and the collapse allocates nothing
+        n = 18
+        s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
+        amps = s.amplitudes
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            out = s.measure_all(np.random.default_rng(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.1 * amps.nbytes
+        assert s.amplitudes is amps
+        np.testing.assert_array_equal(s.amplitudes, basis_state(n, out.value).amplitudes)
 
 
 class TestMeasureSubregister:
