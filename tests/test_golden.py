@@ -27,6 +27,16 @@ CASES = [
      ["qft-demo", "--n", "10", "--x0", "3", "--r", "37", "--stage", "after", "--out", OUT]),
     ("circuit-every-op-4096.csv",
      ["circuit", "run", str(GOLDEN / "every_op.circuit"), "--shots", "4096", "--out", OUT]),
+    # odd, no-candidate x2, odd, trivial, no-candidate, found: fresh bases and the pool
+    ("factor-21-seed11.json", ["factor", "21", "--seed", "11", "--transcript", OUT]),
+    # odd, trivial x3, no-candidate, found, at 20 qubits
+    ("factor-69-seed6.json", ["factor", "69", "--seed", "6", "--transcript", OUT]),
+    # full mode over the qubit cap falls back to hybrid
+    ("factor-143-seed1-max20.json",
+     ["factor", "143", "--seed", "1", "--max-qubits", "20", "--transcript", OUT]),
+    ("factor-35-seed1-no-f.json",
+     ["factor", "35", "--seed", "1", "--skip-f-measurement", "--transcript", OUT]),
+    ("factor-35-seed1-q8.json", ["factor", "35", "--seed", "1", "--qubits", "8", "--transcript", OUT]),
 ]
 
 
