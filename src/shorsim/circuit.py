@@ -276,8 +276,9 @@ def _op_line(op: GateOp) -> str:
 
 
 def _numbers_to_matrix(nums, dim: int) -> np.ndarray:
-    vals = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
-    return vals.reshape(dim, dim)
+    # complex(re, im): re + 1j*im computes 0*im, which warns and is NaN for an infinite im
+    vals = [complex(re, im) for re, im in zip(nums[0::2], nums[1::2])]
+    return np.array(vals).reshape(dim, dim)
 
 
 # name -> (qubit args, numeric args, constructor called with both in that order);

@@ -17,8 +17,10 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
+    """Max entry of |G†G - I|; inf or NaN, with no warning, when the product overflows."""
     eye = np.eye(m.shape[0])
-    return float(np.max(np.abs(m.conj().T @ m - eye)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - eye)))
 
 
 def _validated(matrix, dim: int) -> np.ndarray:
@@ -28,7 +30,7 @@ def _validated(matrix, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("gate matrix must be finite")
     defect = _unitarity_defect(m)
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
     m.setflags(write=False)
     return m

@@ -14,9 +14,9 @@ register width affordable for moduli whose full simulation would not fit in
 memory.  ``classical`` mode skips simulation entirely and feeds the directly
 computed multiplicative order through the same post-processing.
 
-Across runs with the same base the driver combines unverified candidate
-denominators by least common multiple (capped at the modulus) before giving
-up on a base; odd periods and trivial square roots trigger a fresh base.
+Across runs with the same base the driver combines unverified candidate denominators
+by least common multiple (restarted from the latest once past the modulus); odd
+periods and trivial square roots trigger a fresh base.
 """
 
 import math
@@ -141,6 +141,11 @@ def _output_width(n_to_factor: int) -> int:
     return (n_to_factor - 1).bit_length()
 
 
+def _widths(n_to_factor: int, n: int | None) -> tuple[int, int]:
+    in_w = choose_register_size(n_to_factor) if n is None else n
+    return in_w, _output_width(n_to_factor)
+
+
 def _recover(record: RunRecord, n_to_factor: int) -> RunRecord:
     """Fill in the convergents of ``record.y / 2**record.n`` and any verified period."""
     m = 1 << record.n
@@ -161,11 +166,11 @@ def run_once_full(
     measure_f: bool = True,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> RunRecord:
-    """One full-simulation period-finding attempt with base ``a``."""
-    if gcd(a, n_to_factor) != 1:
-        raise ValueError(f"base {a} shares a factor with {n_to_factor}")
-    in_w = choose_register_size(n_to_factor) if n is None else n
-    out_w = _output_width(n_to_factor)
+    """One full-simulation period-finding attempt with base ``a``.
+
+    ``modexp_oracle`` rejects a base sharing a factor with ``n_to_factor``, before the state exists.
+    """
+    in_w, out_w = _widths(n_to_factor, n)
     total = in_w + out_w
     if total > max_qubits:
         raise ValueError(
@@ -173,11 +178,12 @@ def run_once_full(
             f"(2**{total} amplitudes), over the {max_qubits}-qubit cap; "
             "use hybrid mode"
         )
+    oracle = modexp_oracle(a, n_to_factor, in_w, out_w)
 
     # The output register starts at |0>, so the uniform input register fills the low amplitudes.
     state = basis_state(total, 0, max_qubits=max_qubits)
     state.amplitudes[: 1 << in_w] = prepare_uniform(in_w, max_qubits=max_qubits).amplitudes
-    state.apply_permutation(modexp_oracle(a, n_to_factor, in_w, out_w))
+    state.apply_permutation(oracle)
 
     f_outcome = None
     if measure_f:
@@ -202,13 +208,11 @@ def run_once_hybrid(
 ) -> RunRecord:
     """Period-finding attempt on a directly built collapsed input register.
 
-    The order and a random offset stand in for oracle + output measurement;
-    the Fourier transform, measurement and recovery run exactly as in full
-    mode, at input-register width only.
+    The order and a random offset stand in for oracle + output measurement; the Fourier
+    transform, measurement and recovery run exactly as in full mode, at input-register
+    width only.  ``multiplicative_order`` rejects a base sharing a factor with ``n_to_factor``.
     """
-    if gcd(a, n_to_factor) != 1:
-        raise ValueError(f"base {a} shares a factor with {n_to_factor}")
-    in_w = choose_register_size(n_to_factor) if n is None else n
+    in_w, _ = _widths(n_to_factor, n)
     r = multiplicative_order(a, n_to_factor)
     x0 = int(rng.integers(0, r))
     state = build_period_state(in_w, x0, r, max_qubits=max_qubits)
@@ -219,9 +223,10 @@ def run_once_hybrid(
 
 
 def run_once_classical(n_to_factor: int, a: int) -> RunRecord:
-    """No simulation: the directly computed order enters the post-processing."""
-    if gcd(a, n_to_factor) != 1:
-        raise ValueError(f"base {a} shares a factor with {n_to_factor}")
+    """No simulation: the directly computed order enters the post-processing.
+
+    ``multiplicative_order`` rejects a base sharing a factor with ``n_to_factor``.
+    """
     r = multiplicative_order(a, n_to_factor)
     return RunRecord(a=a, n=None, candidate_r=r, status=STATUS_PERIOD_FOUND, mode="classical")
 
@@ -250,8 +255,8 @@ def run_shor(config: ShorConfig) -> FactoringResult:
     is an immediate lucky win; a verified even period with a nontrivial square
     root yields the factors; odd periods and trivial roots reselect the base;
     runs without a verified candidate pool their best convergent denominators
-    (lcm, capped at the modulus) in case several partial runs pin the period
-    together.
+    (lcm, restarted from the latest once past the modulus) in case several
+    partial runs pin the period together.
 
     Raises ValueError on prime input; returns a failure-marked result with the
     full transcript when the run budget is exhausted.
@@ -266,10 +271,8 @@ def run_shor(config: ShorConfig) -> FactoringResult:
         return FactoringResult(n, (root, n // root), [], 0)
 
     mode = config.mode
-    if mode == "full":
-        in_w = choose_register_size(n) if config.n_override is None else config.n_override
-        if in_w + _output_width(n) > config.max_qubits:
-            mode = "hybrid"  # full register will not fit; keep only the input register
+    if mode == "full" and sum(_widths(n, config.n_override)) > config.max_qubits:
+        mode = "hybrid"  # full register will not fit; keep only the input register
     # Classical mode with a forced base draws nothing, so it seeds no generator:
     # seeding takes tens of microseconds, a tenth of a classical call on a 23-bit modulus.
     rng = None
@@ -277,18 +280,13 @@ def run_shor(config: ShorConfig) -> FactoringResult:
         rng = np.random.default_rng(config.seed)
     runs: list[RunRecord] = []
     gate_estimate = 0
-    current_a: int | None = None
-    pooled_denoms: list[int] = []
+    a = config.base  # None: draw a fresh base for the next run
+    pooled = 1  # lcm of the pooled denominators of the current base
 
     for _ in range(config.max_runs):
-        if config.base is not None:
-            a = config.base
-        elif current_a is None:
+        if a is None:
             a = int(rng.integers(2, n, dtype=np.uint64))  # the int64 default rejects n >= 2**63
-            current_a = a
-            pooled_denoms = []
-        else:
-            a = current_a
+            pooled = 1
 
         g = gcd(a, n)
         if g > 1:
@@ -316,31 +314,21 @@ def run_shor(config: ShorConfig) -> FactoringResult:
         r = record.candidate_r
         if r is None:
             # Pool the largest informative denominator and test the combination.
-            denoms = [c.q for c in record.convergents if 1 < c.q < n]
-            if denoms:
-                pooled_denoms.append(max(denoms))
-                combined = math.lcm(*pooled_denoms)
-                if combined > n:
-                    # the pool outgrew the modulus; start over from this run
-                    pooled_denoms = [max(denoms)]
-                    combined = pooled_denoms[0]
-                if combined > 1 and mod_pow(a, combined, n) == 1:
-                    r = _order_from_multiple(a, combined, n)
-                    record.candidate_r = r
-                    record.status = STATUS_PERIOD_FOUND
-            if r is None:
+            d = max((c.q for c in record.convergents if 1 < c.q < n), default=None)
+            if d is None:
                 continue
+            pooled = math.lcm(pooled, d)
+            if pooled > n:
+                pooled = d
+            if mod_pow(a, pooled, n) != 1:
+                continue
+            r = record.candidate_r = _order_from_multiple(a, pooled, n)
+            record.status = STATUS_PERIOD_FOUND
 
-        if r % 2 == 1:
-            record.status = STATUS_ODD_PERIOD
-            current_a = None
-            continue
         factors = factor_from_period(a, r, n)
-        if factors is None:
-            record.status = STATUS_TRIVIAL_ROOT
-            current_a = None
-            continue
-        return FactoringResult(n, factors, runs, gate_estimate)
+        if factors is not None:
+            return FactoringResult(n, factors, runs, gate_estimate)
+        record.status = STATUS_ODD_PERIOD if r % 2 else STATUS_TRIVIAL_ROOT
+        a = config.base
 
     return FactoringResult(n, None, runs, gate_estimate)
-

@@ -4,13 +4,18 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shorsim
 import shorsim.qft as qft_mod
 from shorsim import Circuit, numtheory, selftest
 from shorsim.cli import main
@@ -290,6 +295,25 @@ def test_huge_width_rejected_before_allocating(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err == ("200000000 qubits would need 2**200000000 amplitudes (2**200000004 bytes); "
                    "cap is 30 qubits (pass max_qubits to override)\n")
+
+
+@pytest.mark.parametrize("line,error", [
+    ("U2 0 1e308 1e308 0 0 0 0 1 0", "line 2: matrix is not unitary (max defect nan)"),
+    ("U2 0 1 inf 0 0 0 0 1 0", "line 2: gate matrix must be finite"),
+], ids=["defect-overflows", "infinite-imaginary"])
+def test_overflowing_matrix_is_one_stderr_line(tmp_path, line, error):
+    # a child process, so numpy warnings reach stderr as they do for a user
+    f = tmp_path / "big.txt"
+    f.write_text(f"qubits 2\n{line}\n")
+    src = str(Path(shorsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "shorsim.cli", "circuit", "run", str(f)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [error]
 
 
 # -- fuzz of main over circuit run and qft-demo --------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from shorsim import (
     Gate2,
+    Gate4,
     basis_state,
     hadamard,
     identity_gate,
@@ -114,6 +115,15 @@ def test_constructors_all_unitary():
 def test_construction_rejects_slightly_off_matrix():
     with pytest.raises(ValueError, match="not unitary"):
         Gate2(hadamard().matrix * (1 + 1e-5))
+
+
+@pytest.mark.parametrize("cls,dim", [(Gate2, 2), (Gate4, 4)])
+def test_construction_rejects_matrix_whose_defect_overflows_to_nan(cls, dim):
+    m = np.eye(dim, dtype=complex)
+    m[0, 0] = 1e308 + 1e308j  # finite, but G†G overflows
+    assert not is_unitary(m)
+    with pytest.raises(ValueError, match="not unitary"):
+        cls(m)
 
 
 def test_cnot_is_a_basis_permutation_matrix():

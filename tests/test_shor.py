@@ -165,6 +165,17 @@ class TestRunOnceFull:
         with pytest.raises(ValueError, match="factor"):
             run_once_full(15, 5, np.random.default_rng(0))
 
+    def test_shared_factor_base_rejected_before_allocating(self):
+        # N=77 would run 13 + 7 = 20 qubits, a 16 MiB state
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="shares a factor"):
+                run_once_full(77, 7, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_peak_memory_below_three_state_sizes(self):
         # numpy reports its buffers to tracemalloc; N=35 runs 11 + 6 = 17
         # qubits, a 2 MiB state
@@ -371,10 +382,36 @@ class TestRunShor:
         assert result.runs[-1].candidate_r == 12
         assert result.runs[-1].status == "period-found"
 
+    def test_pool_restarts_from_the_last_denominator_past_the_modulus(self, monkeypatch):
+        # lcm(5, 8) = 40 > 35 restarts the pool at 8; lcm(8, 6) = 24 is a multiple
+        # of the order 12.  Keeping 40, or restarting empty, would miss it.
+        fragments = [[Convergent(1, 5)], [Convergent(1, 8)], [Convergent(1, 6)]]
+
+        def fake_run_once(n_to_factor, a, rng, **kwargs):
+            return RunRecord(
+                a=a, n=11, y=99, convergents=list(fragments.pop(0)),
+                status=STATUS_NO_CANDIDATE,
+            )
+
+        monkeypatch.setattr(shor_mod, "run_once_full", fake_run_once)
+        result = run_shor(ShorConfig(35, base=2, max_runs=3))
+        assert result.factors == (5, 7)
+        assert [rec.status for rec in result.runs] == ["no-candidate"] * 2 + ["period-found"]
+        assert result.runs[-1].candidate_r == 12
+
     def test_independent_seeds_do_not_share_state(self):
         a = run_shor(ShorConfig(35, seed=9)).runs
         b = run_shor(ShorConfig(35, seed=9)).runs
         assert [(r.a, r.y, r.status) for r in a] == [(r.a, r.y, r.status) for r in b]
+
+
+@pytest.mark.parametrize("run_once", [
+    lambda: run_once_hybrid(15, 5, np.random.default_rng(0)),
+    lambda: run_once_classical(15, 5),
+], ids=["hybrid", "classical"])
+def test_shared_factor_base_rejected_off_the_full_path(run_once):
+    with pytest.raises(ValueError, match="shares a factor|not coprime"):
+        run_once()
 
 
 def test_hybrid_uses_only_input_register_width():
