@@ -53,10 +53,17 @@ class ReversibleFunction:
 
 
 def _xor_image(fx: np.ndarray, in_w: int, out_w: int) -> BasisPermutation:
+    """The permutation ``x + (y << in_w) -> x + ((y ^ fx[x]) << in_w)``.
+
+    It is a bijection exactly when every ``0 <= fx[x] < 2**out_w``, so that is
+    checked on the f-table instead of a bincount over the whole image.
+    """
+    if fx.min(initial=0) < 0 or fx.max(initial=0) >= 1 << out_w:
+        raise ValueError("mapping is not a bijection: value out of range")
     image = np.arange(1 << out_w, dtype=np.int64)[:, None] ^ fx
     image <<= in_w
     image |= np.arange(1 << in_w, dtype=np.int64)
-    return BasisPermutation(image.reshape(-1))
+    return BasisPermutation._checked_by_caller(image.reshape(-1))
 
 
 def xor_oracle(f: ReversibleFunction) -> BasisPermutation:

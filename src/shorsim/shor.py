@@ -4,9 +4,10 @@ One full-simulation run: uniform superposition on the input register, the
 modular-exponentiation XOR oracle, an optional measurement of the output
 register (on by default; skipping it provably does not change the input
 marginal), the Fourier transform on the input register, a measurement, and
-continued-fraction period recovery.  Once the output register is measured it
-is a basis state, so the transform and the last measurement run on the input
-register's own ``2**in_w`` amplitudes.
+continued-fraction period recovery.  The uniform block is written straight to
+the oracle's images of |x, 0> in the zeroed joint register.  Once the output
+register is measured it is a basis state, so the transform and the last
+measurement run on the input register's own ``2**in_w`` amplitudes.
 
 ``hybrid`` mode replaces the oracle stage with a directly constructed
 collapsed period state (the order is computed classically), which keeps the
@@ -114,11 +115,18 @@ def choose_register_size(n: int) -> int:
 
 
 def prepare_uniform(n: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
-    """|0..0> with a Hadamard on every qubit: the unentangled uniform superposition."""
+    """|0..0> with a Hadamard on every qubit: the unentangled uniform superposition.
+
+    H on qubit q meets only the low ``2**q`` nonzero amplitudes ``lo``: ``h[1,0]*lo``
+    fills the next ``2**q`` and ``h[0,0]*lo`` scales ``lo`` in place, scalar-first
+    like ``_apply``, so each step is bitwise equal to ``apply_single``.
+    """
     state = basis_state(n, 0, max_qubits=max_qubits)
-    h = hadamard()
+    h, amps = hadamard().matrix, state.amplitudes
     for q in range(n):
-        state.apply_single(h, q)
+        lo = amps[: 1 << q]
+        np.multiply(h[1, 0], lo, out=amps[1 << q : 2 << q])
+        np.multiply(h[0, 0], lo, out=lo)
     return state
 
 
@@ -169,6 +177,9 @@ def run_once_full(
     """One full-simulation period-finding attempt with base ``a``.
 
     ``modexp_oracle`` rejects a base sharing a factor with ``n_to_factor``, before the state exists.
+    With ``measure_f`` the joint state is the only state-size array it allocates: only the
+    images of |x, 0> (the first ``2**in_w`` table entries) carry amplitude, so writing the
+    uniform block there is ``apply_permutation`` bit for bit, and the rest is freed first.
     """
     in_w, out_w = _widths(n_to_factor, n)
     total = in_w + out_w
@@ -180,10 +191,11 @@ def run_once_full(
         )
     oracle = modexp_oracle(a, n_to_factor, in_w, out_w)
 
-    # The output register starts at |0>, so the uniform input register fills the low amplitudes.
+    images = oracle.table[: 1 << in_w].copy()  # where |x, 0> goes: the nonzero amplitudes
+    del oracle
     state = basis_state(total, 0, max_qubits=max_qubits)
-    state.amplitudes[: 1 << in_w] = prepare_uniform(in_w, max_qubits=max_qubits).amplitudes
-    state.apply_permutation(oracle)
+    state.amplitudes[0] = 0.0  # |0, 0> moves to |0, f(0)> = |0, 1>
+    state.amplitudes[images] = prepare_uniform(in_w, max_qubits=max_qubits).amplitudes
 
     f_outcome = None
     if measure_f:

@@ -31,6 +31,11 @@ from .gates import Gate2, Gate4
 # is the point where a dense desk-scale simulation stops being sensible.
 DEFAULT_MAX_QUBITS = 30
 
+# im*im slice length in ``probabilities``: 2**14 beat 2**12 and 2**13 by 3-10%
+# at 14-20 qubits and tied below; a whole-state temporary took 2-3x as long
+# from 15 qubits on (2 vCPUs, numpy 2.4.6).
+_WEIGHT_SLICE = 1 << 14
+
 
 def _check_width(n: int, max_qubits: int) -> None:
     if n < 0:
@@ -73,7 +78,8 @@ class BasisPermutation:
     """A bijection on basis indices ``0 .. 2**n - 1``.
 
     Bijectivity is checked once at construction; applying a permutation is a
-    pure index shuffle and introduces no floating-point error.
+    pure index shuffle and introduces no floating-point error.  The XOR
+    oracle (``oracle._xor_image``) proves its image a bijection on its f-table.
     """
 
     __slots__ = ("table", "num_qubits")
@@ -92,6 +98,14 @@ class BasisPermutation:
         t.setflags(write=False)
         self.table = t
         self.num_qubits = size.bit_length() - 1
+
+    @classmethod
+    def _checked_by_caller(cls, table: np.ndarray) -> "BasisPermutation":
+        """Adopt, uncopied and read-only, a contiguous int64 table proved a bijection."""
+        perm = cls.__new__(cls)
+        table.setflags(write=False)
+        perm.table, perm.num_qubits = table, table.size.bit_length() - 1
+        return perm
 
     @classmethod
     def from_function(cls, num_qubits: int, fn) -> "BasisPermutation":
@@ -245,9 +259,17 @@ class QuantumState:
     # -- read-only queries ----------------------------------------------
 
     def probabilities(self) -> np.ndarray:
-        """Born-rule weights |a_x|^2 for every basis index."""
-        a = self.amplitudes
-        return (a.real * a.real + a.imag * a.imag)
+        """Born-rule weights |a_x|^2 for every basis index, bitwise ``re*re + im*im``.
+
+        ``im*im`` is added in slices, so the result (half the state bytes) is
+        the only state-size allocation.
+        """
+        re, im = self.amplitudes.real, self.amplitudes.imag
+        weights = np.multiply(re, re)
+        for start in range(0, im.size, _WEIGHT_SLICE):
+            part = im[start : start + _WEIGHT_SLICE]
+            weights[start : start + _WEIGHT_SLICE] += part * part
+        return weights
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -19,6 +19,7 @@ from shorsim import (
     xor_oracle,
 )
 from shorsim import circuit as circ
+from shorsim.oracle import _xor_image
 from shorsim.selftest import _truth_table_circuit
 
 
@@ -63,6 +64,21 @@ class TestXorOracle:
         f = ReversibleFunction(1, 1, lambda v: 2)
         with pytest.raises(ValueError, match="does not fit"):
             xor_oracle(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(in_w=st.integers(0, 6), out_w=st.integers(1, 5), data=st.data())
+    def test_image_passes_the_generic_bijection_check(self, in_w, out_w, data):
+        # _xor_image checks only the f-table; the full check must agree
+        values = data.draw(st.lists(st.integers(0, (1 << out_w) - 1),
+                                    min_size=1 << in_w, max_size=1 << in_w))
+        perm = xor_oracle(ReversibleFunction(in_w, out_w, lambda v: values[v]))
+        assert BasisPermutation(perm.table.copy()) == perm
+
+    @pytest.mark.parametrize("bad", [-1, 4, 7, 1 << 40])
+    def test_f_value_outside_the_output_width_is_not_a_bijection(self, bad):
+        fx = np.array([0, 3, bad, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="not a bijection: value out of range"):
+            _xor_image(fx, 2, 2)
 
 
 class TestComputeCopyUncompute:
@@ -183,6 +199,14 @@ class TestModexpOracle:
         out_w = (n - 1).bit_length() + spare
         per_x = xor_oracle(ReversibleFunction(in_w, out_w, lambda xv: pow(a, xv, n)))
         assert modexp_oracle(a, n, in_w, out_w) == per_x
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 300), a=st.integers(1, 10**4), in_w=st.integers(0, 8),
+           spare=st.integers(0, 2))
+    def test_image_passes_the_generic_bijection_check(self, n, a, in_w, spare):
+        assume(math.gcd(a, n) == 1)
+        perm = modexp_oracle(a, n, in_w, (n - 1).bit_length() + spare)
+        assert BasisPermutation(perm.table.copy()) == perm
 
     def test_int64_product_guard(self):
         # 3037000501**2 > 2**63: the table's products would overflow int64

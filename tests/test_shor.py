@@ -77,6 +77,15 @@ class TestPrepareUniform:
         for n in (10, 16, 20):
             assert abs(prepare_uniform(n).norm() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(15))
+    def test_doubling_is_bitwise_the_hadamard_ladder(self, n):
+        ladder = basis_state(n, 0)
+        for q in range(n):
+            ladder.apply_single(hadamard(), q)
+        np.testing.assert_array_equal(
+            prepare_uniform(n).amplitudes.view(np.uint64), ladder.amplitudes.view(np.uint64)
+        )
+
 
 class TestBuildPeriodState:
     def test_nine_terms_of_one_third(self):
@@ -117,7 +126,7 @@ class TestRunOnceFull:
         assert rec.candidate_r is None
         assert rec.status == "no-candidate"
 
-    @pytest.mark.parametrize("n_to_factor, a", [(15, 7), (21, 2), (33, 5)])
+    @pytest.mark.parametrize("n_to_factor, a", [(15, 7), (21, 2), (33, 5), (35, 2), (39, 7)])
     def test_transform_on_input_block_matches_whole_register(self, n_to_factor, a):
         # the run transforms and measures only the input register's block;
         # doing both on the whole register draws the same y from the same rng
@@ -133,6 +142,32 @@ class TestRunOnceFull:
             y = state.measure_subregister(range(in_w), rng).value
             rec = run_once_full(n_to_factor, a, np.random.default_rng(seed))
             assert (rec.f_outcome, rec.y) == (f, y)
+
+    @pytest.mark.parametrize("n_to_factor", [15, 21, 33, 35, 39])
+    def test_joint_state_is_bitwise_the_permuted_uniform_register(self, n_to_factor, monkeypatch):
+        # the run writes the uniform block straight to the oracle's images of
+        # |x, 0>; scattering the whole register gives the same bits
+        in_w, out_w = choose_register_size(n_to_factor), shor_mod._output_width(n_to_factor)
+        total = in_w + out_w
+        measured = []
+        original = shor_mod.QuantumState.measure_subregister
+
+        def capture(state, qubits, rng):
+            measured.append(state.amplitudes.copy())
+            return original(state, qubits, rng)
+
+        monkeypatch.setattr(shor_mod.QuantumState, "measure_subregister", capture)
+        for a in range(2, n_to_factor):
+            if gcd(a, n_to_factor) != 1:
+                continue
+            measured.clear()
+            run_once_full(n_to_factor, a, np.random.default_rng(a))
+            expect = basis_state(total, 0)
+            expect.amplitudes[: 1 << in_w] = prepare_uniform(in_w).amplitudes
+            expect.apply_permutation(modexp_oracle(a, n_to_factor, in_w, out_w))
+            np.testing.assert_array_equal(
+                measured[0].view(np.uint64), expect.amplitudes.view(np.uint64)
+            )
 
     def test_skipping_f_measurement_leaves_marginal_unchanged(self):
         # exact distributions, no sampling: marginal with f unmeasured equals
@@ -188,6 +223,19 @@ class TestRunOnceFull:
         finally:
             tracemalloc.stop()
         assert peak - base < 3 * state_bytes
+
+    def test_joint_state_is_the_only_state_size_array(self):
+        # N=35 runs 11 + 6 = 17 qubits; the oracle image (half the state) is
+        # freed before the state exists, and the Born weights are half a state
+        state_bytes = 16 << 17
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            run_once_full(35, 2, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.6 * state_bytes
 
 
 class TestCollapseShape:

@@ -239,6 +239,29 @@ class TestProbabilities:
         np.testing.assert_allclose(s.probabilities(), np.full(8, 0.125), atol=1e-15)
         assert abs(s.probabilities().sum() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("n", range(21))
+    def test_sliced_sum_is_bitwise_re_squared_plus_im_squared(self, n, rng):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps[::7] = complex(-0.0, -0.0)  # signed zeros in both parts
+        re, im = amps.real, amps.imag
+        np.testing.assert_array_equal(
+            state_from(amps).probabilities().view(np.uint64), (re * re + im * im).view(np.uint64)
+        )
+
+    def test_weights_are_the_only_state_size_allocation(self):
+        # numpy reports its buffers to tracemalloc; float64 weights are half
+        # the complex128 state, and the im*im slices are a fixed 128 KiB
+        n = 18
+        s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            s.probabilities()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.6 * s.amplitudes.nbytes
+
 
 class TestMeasureAll:
     def test_deterministic_on_basis_state(self):
