@@ -60,9 +60,9 @@ def _xor_image(fx: np.ndarray, in_w: int, out_w: int) -> BasisPermutation:
     """
     if fx.min(initial=0) < 0 or fx.max(initial=0) >= 1 << out_w:
         raise ValueError("mapping is not a bijection: value out of range")
-    image = np.arange(1 << out_w, dtype=np.int64)[:, None] ^ fx
-    image <<= in_w
-    image |= np.arange(1 << in_w, dtype=np.int64)
+    # x < 2**in_w never meets the shifted bits, so one XOR pass builds the image
+    rows = np.arange(1 << out_w, dtype=np.int64) << in_w
+    image = rows[:, None] ^ ((fx << in_w) | np.arange(1 << in_w, dtype=np.int64))
     return BasisPermutation._checked_by_caller(image.reshape(-1))
 
 
@@ -71,8 +71,8 @@ def xor_oracle(f: ReversibleFunction) -> BasisPermutation:
 
     A bijection for every f, and an involution: applying it twice is the
     identity.  The image is one int64 array with row y and column x, so its
-    flat index is ``x + (y << in_w)``; it is filled in place, with no other
-    array of its size.
+    flat index is ``x + (y << in_w)``; one broadcast XOR builds it, with no
+    other array of its size.
     """
     return _xor_image(f.table(), f.input_width, f.output_width)
 

@@ -50,6 +50,11 @@ STATUS_LUCKY_GCD = "lucky-gcd"
 
 MODES = ("full", "hybrid", "classical")
 
+# Cap on attempts per call.  Every attempt's record stays in the transcript, and
+# a forced base that fails repeats its attempt every run: a classical record
+# costs about 19 us and 208 B, so a call stays near 0.2 s and 2 MB.
+MAX_RUNS = 10_000
+
 
 @dataclass
 class ShorConfig:
@@ -67,8 +72,8 @@ class ShorConfig:
     def __post_init__(self):
         if not 3 <= self.n_to_factor < U64_LIMIT:
             raise ValueError(f"cannot factor {self.n_to_factor}: need 3 <= N < 2**64")
-        if self.max_runs < 1:
-            raise ValueError(f"max_runs must be at least 1, got {self.max_runs}")
+        if not 1 <= self.max_runs <= MAX_RUNS:
+            raise ValueError(f"max_runs must lie in [1, {MAX_RUNS}], got {self.max_runs}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.base is not None and not 2 <= self.base < self.n_to_factor:
@@ -202,7 +207,7 @@ def run_once_full(
         f_outcome = state.measure_subregister(range(in_w, total), rng).value
         # the output register is |f_outcome> now: keep the input register's block
         block = state.amplitudes[f_outcome << in_w : (f_outcome + 1) << in_w]
-        state = QuantumState(in_w, block)
+        state = QuantumState._checked_by_caller(in_w, block)
 
     apply_qft_on(state, range(in_w))
     y = state.measure_subregister(range(in_w), rng).value

@@ -138,7 +138,13 @@ class BasisPermutation:
 
 
 class QuantumState:
-    """State vector of ``num_qubits`` qubits."""
+    """State vector of ``num_qubits`` qubits.
+
+    ``QuantumState(n, amplitudes)`` checks the shape and scans every amplitude
+    for finiteness, since the array comes from outside.  Arrays the simulator
+    builds itself are adopted without the scan: ``basis_state``'s zeroed
+    array, ``copy()``, and full mode's collapsed input block.
+    """
 
     __slots__ = ("num_qubits", "amplitudes")
 
@@ -153,10 +159,17 @@ class QuantumState:
         self.num_qubits = num_qubits
         self.amplitudes = amps
 
+    @classmethod
+    def _checked_by_caller(cls, num_qubits: int, amps: np.ndarray) -> "QuantumState":
+        """Adopt, uncopied, a contiguous complex128 array of ``2**num_qubits`` finite amplitudes."""
+        state = cls.__new__(cls)
+        state.num_qubits, state.amplitudes = num_qubits, amps
+        return state
+
     # -- constructors ---------------------------------------------------
 
     def copy(self) -> "QuantumState":
-        return QuantumState(self.num_qubits, self.amplitudes.copy())
+        return QuantumState._checked_by_caller(self.num_qubits, self.amplitudes.copy())
 
     # -- gate application -----------------------------------------------
 
@@ -301,12 +314,13 @@ class QuantumState:
     def measure_subregister(self, qubits, rng: np.random.Generator) -> MeasurementOutcome:
         """Measure the listed qubits; bit i of the outcome is qubit ``qubits[i]``.
 
-        The measured axes of the ``(2,)*n`` view move to the front,
-        ``qubits[-1]`` first, so the index of the leading axes spells the
-        outcome and the marginal is a sum over the trailing ones.  The state
-        collapses to the renormalized projection onto the observed outcome:
-        that block of the moved view is kept, divided by the exact square root
-        of the outcome mass, and every other amplitude is zeroed.
+        The ``(2,)*n`` view is transposed once so the measured axes lead,
+        ``qubits[-1]`` first, and the rest follow in order: the index of the
+        leading axes spells the outcome and the marginal is a sum over the
+        trailing ones.  The state collapses to the renormalized projection
+        onto the observed outcome: that block of the transposed view is kept,
+        divided by the exact square root of the outcome mass, and every other
+        amplitude is zeroed.
         """
         qubits = [int(q) for q in qubits]
         if len(set(qubits)) != len(qubits):
@@ -315,12 +329,13 @@ class QuantumState:
             self._check_qubit(q)
 
         n, k = self.num_qubits, len(qubits)
-        axes = [n - 1 - q for q in reversed(qubits)]
-        probs = np.moveaxis(self.probabilities().reshape((2,) * n), axes, range(k))
+        measured = [n - 1 - q for q in reversed(qubits)]
+        order = measured + [ax for ax in range(n) if ax not in measured]
+        probs = self.probabilities().reshape((2,) * n).transpose(order)
         marginal = probs.sum(axis=tuple(range(k, n))).reshape(-1)
         outcome = int(sample_indices(marginal, rng.random()))
         p = float(marginal[outcome])
-        view = np.moveaxis(self.amplitudes.reshape((2,) * n), axes, range(k))
+        view = self.amplitudes.reshape((2,) * n).transpose(order)
         block = view[(*((outcome >> i) & 1 for i in reversed(range(k))), ...)]
         kept = block / np.sqrt(p)
         self.amplitudes.fill(0.0)
@@ -338,4 +353,4 @@ def basis_state(num_qubits: int, index: int, *, max_qubits: int = DEFAULT_MAX_QU
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return QuantumState(num_qubits, amps)
+    return QuantumState._checked_by_caller(num_qubits, amps)

@@ -1,3 +1,7 @@
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,22 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_state_vector(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return (amps / np.linalg.norm(amps)).astype(np.complex128)
+
+
+@contextmanager
+def traced_peak():
+    """Trace allocations in the block; on exit ``.bytes`` is their peak above the start.
+
+    numpy reports its buffers to tracemalloc, so array allocations count.
+    """
+    peak = SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        yield peak
+        peak.bytes = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class StubRng:

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,8 @@ import shorsim.qft as qft_mod
 from shorsim import Circuit, numtheory, selftest
 from shorsim.cli import main
 from shorsim.state import basis_state, sample_indices
+
+from conftest import traced_peak
 
 BELL_FILE = "qubits 2\nH 0\nCNOT 0 1\n"
 
@@ -110,6 +111,12 @@ class TestFactor:
         assert main(["factor", "35", "--mode", "hybrid", "--seed", "3"]) == 0
         assert capsys.readouterr().out == "35 = 5 x 7\n"
 
+    def test_huge_max_runs_exits_1_before_any_run(self, capsys):
+        assert main(["factor", "15", "--max-runs", "1000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "max_runs" in captured.err
+
     def test_bad_config_values_exit_1(self, capsys):
         assert main(["factor", "15", "--max-runs", "0"]) == 1
         assert "max_runs" in capsys.readouterr().err
@@ -191,14 +198,10 @@ class TestCircuitRun:
         f.write_text(BELL_FILE)
         out = tmp_path / "hist.csv"
         shots = 3_000_000
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             assert main(["circuit", "run", str(f), "--shots", str(shots),
                          "--seed", "7", "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
+        assert peak.bytes < 4 << 20
         probs = Circuit.parse(BELL_FILE).run(basis_state(2, 0)).probabilities()
         draws = sample_indices(probs, np.random.default_rng(7).random(shots))
         counts = np.bincount(draws, minlength=4)
@@ -284,14 +287,10 @@ HUGE_WIDTHS = {
 @pytest.mark.parametrize("case", sorted(HUGE_WIDTHS))
 def test_huge_width_rejected_before_allocating(tmp_path, capsys, case):
     argv = HUGE_WIDTHS[case](tmp_path)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 1
-    assert peak < 1 << 20
+    assert peak.bytes < 1 << 20
     err = capsys.readouterr().err
     assert err == ("200000000 qubits would need 2**200000000 amplitudes (2**200000004 bytes); "
                    "cap is 30 qubits (pass max_qubits to override)\n")

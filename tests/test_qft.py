@@ -1,6 +1,5 @@
 """Fourier-transform circuit against the direct reference transform."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from shorsim import (
     qft_circuit,
 )
 
-from conftest import random_state_vector
+from conftest import random_state_vector, traced_peak
 
 
 def run_qft(amps) -> np.ndarray:
@@ -244,17 +243,12 @@ class TestFusedWalker:
                     np.testing.assert_array_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
 
     def test_transient_memory_within_a_quarter_above_one_state(self):
-        # numpy reports its buffers to tracemalloc; the walker's one new array
-        # is the reversed copy, and the old amplitudes are its scratch
+        # the walker's one new array is the reversed copy, and the old
+        # amplitudes are its scratch
         state = build_period_state(18, 5, 91)
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
+        with traced_peak() as peak:
             apply_qft(state)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 1.25 * state.amplitudes.nbytes
+        assert peak.bytes <= 1.25 * state.amplitudes.nbytes
 
     @pytest.mark.parametrize("n", [12, 14])
     def test_result_independent_of_callers_buffer_size(self, n, rng):

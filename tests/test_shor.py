@@ -1,7 +1,5 @@
 """Factoring driver: register sizing, pipeline stages, retry policy, modes."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,9 @@ from shorsim import (
     run_once_hybrid,
     run_shor,
 )
-from shorsim.shor import RunRecord, STATUS_NO_CANDIDATE
+from shorsim.shor import MAX_RUNS, RunRecord, STATUS_NO_CANDIDATE
+
+from conftest import traced_peak
 
 # Frozen driver seeds: each factors its modulus through the quantum path.
 DOCUMENTED_SEEDS = {15: 0, 21: 1, 35: 1}
@@ -202,40 +202,24 @@ class TestRunOnceFull:
 
     def test_shared_factor_base_rejected_before_allocating(self):
         # N=77 would run 13 + 7 = 20 qubits, a 16 MiB state
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="shares a factor"):
-                run_once_full(77, 7, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with traced_peak() as peak, pytest.raises(ValueError, match="shares a factor"):
+            run_once_full(77, 7, np.random.default_rng(0))
+        assert peak.bytes < 1 << 20
 
     def test_peak_memory_below_three_state_sizes(self):
-        # numpy reports its buffers to tracemalloc; N=35 runs 11 + 6 = 17
-        # qubits, a 2 MiB state
+        # N=35 runs 11 + 6 = 17 qubits, a 2 MiB state
         state_bytes = 16 << 17
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
+        with traced_peak() as peak:
             run_once_full(35, 2, np.random.default_rng(3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base < 3 * state_bytes
+        assert peak.bytes < 3 * state_bytes
 
     def test_joint_state_is_the_only_state_size_array(self):
         # N=35 runs 11 + 6 = 17 qubits; the oracle image (half the state) is
         # freed before the state exists, and the Born weights are half a state
         state_bytes = 16 << 17
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
+        with traced_peak() as peak:
             run_once_full(35, 2, np.random.default_rng(3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base < 1.6 * state_bytes
+        assert peak.bytes < 1.6 * state_bytes
 
 
 class TestCollapseShape:
@@ -375,6 +359,11 @@ class TestRunShor:
         result = run_shor(ShorConfig(15, base=5))
         assert result.factors == (3, 5)
         assert result.runs[-1].status == "lucky-gcd"
+
+    def test_max_runs_bounded_above(self):
+        assert ShorConfig(15, max_runs=MAX_RUNS).max_runs == MAX_RUNS
+        with pytest.raises(ValueError, match="max_runs"):
+            ShorConfig(15, max_runs=MAX_RUNS + 1)
 
     def test_forced_bad_base_exhausts_runs(self):
         # 14 = -1 mod 15: order 2 with a trivial square root, every time

@@ -1,7 +1,5 @@
 """Core state-vector behavior: gate kernels, permutations, measurement."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,7 @@ from shorsim import (
 from shorsim.gates import Gate2, Gate4
 from shorsim.state import sample_indices
 
-from conftest import StubRng, random_state_vector, random_unitary
+from conftest import StubRng, random_state_vector, random_unitary, traced_peak
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -59,6 +57,30 @@ class TestBasisState:
         basis_state(5, 0, max_qubits=5)
         with pytest.raises(ValueError):
             basis_state(6, 0, max_qubits=5)
+
+    def test_zeroed_array_is_the_only_allocation(self):
+        # adopted without a finiteness scan, whose bool temporary is 1/16 state
+        with traced_peak() as peak:
+            s = basis_state(18, 0)
+        assert peak.bytes <= 1.01 * s.amplitudes.nbytes
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+    )
+    def test_outside_amplitudes_must_be_finite(self, bad):
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[2] = bad
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            QuantumState(2, amps)
+
+    def test_copy_owns_an_equal_array(self, rng):
+        s = state_from(random_state_vector(3, rng))
+        c = s.copy()
+        assert c.num_qubits == 3
+        np.testing.assert_array_equal(c.amplitudes, s.amplitudes)
+        assert not np.shares_memory(c.amplitudes, s.amplitudes)
 
 
 class TestApplySingle:
@@ -249,18 +271,13 @@ class TestProbabilities:
         )
 
     def test_weights_are_the_only_state_size_allocation(self):
-        # numpy reports its buffers to tracemalloc; float64 weights are half
-        # the complex128 state, and the im*im slices are a fixed 128 KiB
+        # float64 weights are half the complex128 state, and the im*im slices
+        # are a fixed 128 KiB
         n = 18
         s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
+        with traced_peak() as peak:
             s.probabilities()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base < 0.6 * s.amplitudes.nbytes
+        assert peak.bytes < 0.6 * s.amplitudes.nbytes
 
 
 class TestMeasureAll:
@@ -297,19 +314,14 @@ class TestMeasureAll:
             assert state_from(s.amplitudes).measure_all(np.random.default_rng(seed)).value == 1
 
     def test_collapses_in_place_within_a_tenth_above_one_state(self):
-        # numpy reports its buffers to tracemalloc; the probabilities and their
-        # cumulative sum are half a state each, and the collapse allocates nothing
+        # the probabilities and their cumulative sum are half a state each, and
+        # the collapse allocates nothing
         n = 18
         s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
         amps = s.amplitudes
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
+        with traced_peak() as peak:
             out = s.measure_all(np.random.default_rng(5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 1.1 * amps.nbytes
+        assert peak.bytes <= 1.1 * amps.nbytes
         assert s.amplitudes is amps
         np.testing.assert_array_equal(s.amplitudes, basis_state(n, out.value).amplitudes)
 
@@ -401,6 +413,52 @@ class TestMeasureSubregister:
             counts[state_from(amps).measure_subregister([0, 2], stream).value] += 1
         sigma = np.sqrt(marginal * (1 - marginal) / draws)
         assert np.all(np.abs(counts / draws - marginal) <= 5 * sigma + 1e-12)
+
+
+def moveaxis_measure(amps, qubits, u):
+    """Reference sub-register measurement through ``np.moveaxis``: (outcome, p, collapsed)."""
+    n, k = amps.size.bit_length() - 1, len(qubits)
+    axes = [n - 1 - q for q in reversed(qubits)]
+    weights = amps.real * amps.real + amps.imag * amps.imag
+    probs = np.moveaxis(weights.reshape((2,) * n), axes, range(k))
+    marginal = probs.sum(axis=tuple(range(k, n))).reshape(-1)
+    outcome = int(sample_indices(marginal, u))
+    p = float(marginal[outcome])
+    out = amps.copy()
+    view = np.moveaxis(out.reshape((2,) * n), axes, range(k))
+    block = view[(*((outcome >> i) & 1 for i in reversed(range(k))), ...)]
+    kept = block / np.sqrt(p)
+    out.fill(0.0)
+    block[...] = kept
+    return outcome, p, out
+
+
+@st.composite
+def measured_qubits(draw):
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["interleaved", "reversed", "top", "whole", "any"]))
+    qubits = {
+        "interleaved": list(range(n % 2, n, 2)) or [0],
+        "reversed": list(range(n - 1, -1, -1))[:k],
+        "top": list(range(n - k, n)),
+        "whole": list(range(n)),
+        "any": draw(st.permutations(range(n)))[:k],
+    }[kind]
+    return n, qubits
+
+
+@settings(max_examples=300, deadline=None)
+@given(measured_qubits(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_max=True))
+def test_measure_subregister_is_bitwise_the_moveaxis_reference(case, seed, u):
+    n, qubits = case
+    amps = random_state_vector(n, np.random.default_rng(seed))
+    outcome, p, collapsed = moveaxis_measure(amps, qubits, u)
+    s = QuantumState(n, amps.copy())
+    out = s.measure_subregister(qubits, StubRng(u))
+    assert out.value == outcome
+    assert np.float64(out.probability).view(np.uint64) == np.float64(p).view(np.uint64)
+    np.testing.assert_array_equal(s.amplitudes.view(np.uint64), collapsed.view(np.uint64))
 
 
 # H on qubit 0 of 2 qubits: the CDF of [1/2, 1/2, 0, 0] ends just below 1
