@@ -10,16 +10,16 @@ ladder with terminal qubit-reversal SWAPs (one two-qubit gate each), so
 
     gate_count(qft_circuit(n)) == n*(n+1)//2 + n//2
 
-``apply_qft_on`` walks the ops of ``qft_circuit(k)`` once over a strided view of
-the amplitudes, with the gate kernel's arithmetic in its operand order.  Half-way
-through the ladder it copies the amplitudes once with the qubit order reversed,
-so every op works on long contiguous runs and the SWAPs leave them in order;
-before that, a CPHASE controlled by one of the 3 lowest qubits multiplies the
-target's bit-1 half by a row of its coefficient and exact ones.  Its output is
-bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)``, the reference,
-except that an exact zero may come out with the other sign: the butterfly
-subtracts where the kernel adds a negated product, and a product by exactly 1
-can only flip the sign of a zero.
+``apply_qft_on`` runs the ops of ``qft_circuit(k)`` as a plan decoded once per
+width, each step on a 3- to 5-dimensional view, with the gate kernel's
+arithmetic in its operand order.  Half-way through the ladder it copies the
+amplitudes once with the qubit order reversed, so every op works on long
+contiguous runs and the SWAPs leave them in order; before that, a CPHASE
+controlled by one of the 3 lowest qubits multiplies the target's bit-1 half by
+a row of its coefficient and exact ones.  Its output is bitwise equal to
+``qft_circuit(k).embedded(n, lo).run(state)`` except that an exact zero may
+come out with the other sign: the butterfly subtracts where the kernel adds a
+negated product, and a product by exactly 1 can only flip the sign of a zero.
 
 The walk runs with numpy's ufunc buffer set to ``_BUFSIZE`` elements, scoped by
 ``np.errstate`` so the caller's setting is restored on exit.  numpy's iterator
@@ -29,6 +29,7 @@ products on runs of 256-2048 amplitudes pay for that copy, not for the
 multiply.  The buffer changes no arithmetic, so the amplitudes are the same.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +44,9 @@ _SWAP = swap_gate()
 # ufunc buffer for the walk, in elements; of 64-8192, the fastest at 14-16
 # qubits and within 6% of the fastest (512) at 18-20
 _BUFSIZE = 256
+
+# widest dense reference; its 2**11-square matrix peaks at 128 MiB (traced), 4x per qubit
+_DFT_MAX_QUBITS = 11
 
 
 @lru_cache(maxsize=16)
@@ -67,6 +71,8 @@ def dft_reference(amplitudes) -> np.ndarray:
     size = a.size
     if size == 0 or (size & (size - 1)) != 0:
         raise ValueError(f"length {size} is not a power of two")
+    if size > 1 << _DFT_MAX_QUBITS:
+        raise ValueError(f"a {size}x{size} reference matrix needs {16 * size * size} bytes, over the limit")
     return _dft_matrix(size) @ a
 
 
@@ -98,81 +104,95 @@ def _qft_ops(n: int) -> tuple[circ.GateOp, ...]:
     return tuple(c.ops)
 
 
-# picking from ``(1, c)`` by ``_ROW_PICKS[m]`` gives c where bit m of the 3
-# lowest qubits is 1 and 1 elsewhere: the row of a CPHASE controlled by qubit m
-_ROW_PICKS = tuple(((np.arange(8) >> m) & 1).reshape(2, 2, 2, 1) for m in range(3))
+@lru_cache(maxsize=32)
+def _plan(k: int):
+    return _decode(_qft_ops(k), k)
+
+
+def _decode(ops, k: int):
+    """Steps of ``_walk`` for ladder ``ops`` on ``k`` qubits, and the final axis order.
+
+    Step ``(kind, (a, mid, z), c)`` works on the amplitudes reshaped to ``(lead
+    * a, *mid, z * m)``; qubit q is on bit ``pos[q]`` of the ladder index.  ``c``
+    is read-only: a row, or a 0-d view, which a ufunc takes faster than a scalar.
+    """
+    pos, steps, reversed_ = list(range(k)), [], False
+    for op in ops:
+        if op.name == "H":
+            i = op.targets[0]
+            if i < k // 2 and not reversed_:
+                steps.append(("copy", (1, (2,) * k, 1), None))
+                pos, reversed_ = [k - 1 - b for b in pos], True
+            steps.append(("H", (1 << (k - 1 - pos[i]), (2,), 1 << pos[i]), op.gate.matrix[0, 0, ...]))
+        elif op.name == "CPHASE":
+            m, i, c = min(op.controls), op.targets[0], op.gate.matrix[1, 1, ...]
+            lo, hi = sorted((pos[m], pos[i]))
+            if pos[m] < 3 <= pos[i] and not reversed_:
+                row = np.array([1, c])[(np.arange(8)[:, None] >> lo) & 1]
+                row.setflags(write=False)
+                steps.append(("row", (1 << (k - 1 - hi), (2, 1 << (hi - 3), 8), 1), row))
+            else:
+                steps.append(("CPHASE", (1 << (k - 1 - hi), (2, 1 << (hi - lo - 1), 2), 1 << lo), c))
+        elif op.gate == _SWAP and not op.controls:
+            a, b = op.targets
+            pos[a], pos[b] = pos[b], pos[a]
+        else:
+            raise ValueError(f"the QFT walker cannot apply {op.name or 'an unnamed op'} on {op.qubits()}")
+    return tuple(steps), (0, *(k - pos[q] for q in reversed(range(k))), k + 1)
 
 
 def _walk(view: np.ndarray, ops) -> np.ndarray:
     """Run ladder ``ops`` on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
 
-    Returns the amplitudes after the ops, in the same layout.  An op that
-    fixes a low qubit runs on short contiguous runs, so before the first H on
-    a qubit below ``k//2`` the amplitudes are copied once with the qubit axes
-    reversed; every later op fixes only high axes.  Until that copy, a CPHASE
-    whose control is one of the 3 lowest qubits multiplies the target's whole
-    bit-1 half by an 8-entry row that holds its coefficient where the control
-    is 1 and exactly 1 elsewhere; a product by exactly 1 can only flip the
-    sign of a zero, the latitude the butterfly already takes.  A SWAP only
-    exchanges which axes hold its qubits, so after the ladder's SWAPs the
-    reversed copy is in order again.  The copy's buffer is allocated first:
-    its first half is the H scratch until the copy, the old amplitudes after.
+    Returns the amplitudes after the ops, in the same layout.  The very ops
+    of ``qft_circuit(k)`` run as ``_plan(k)``, decoded once per width; any
+    other list, such as a patched ``qft_circuit``'s, is decoded per call.
+    Before the first H on a qubit below ``k//2`` the amplitudes are copied
+    once with the qubit axes reversed, so every later op fixes only high
+    axes, and the ladder's SWAPs, which only relabel axes, leave the copy in
+    order.  Until then a CPHASE controlled by one of the 3 lowest qubits
+    multiplies the target's whole bit-1 half by an 8-entry row of its
+    coefficient and exact ones; a product by exactly 1 can only flip the sign
+    of a zero, the latitude the butterfly already takes.  The copy's buffer
+    is allocated first: its first half is the H scratch until the copy, the
+    old amplitudes after.
     """
-    k = view.ndim - 2
-    axes = list(range(k, 0, -1))
+    k, lead, m = view.ndim - 2, view.shape[0], view.shape[-1]
+    same = len(ops) == len(_qft_ops(k)) and all(map(operator.is_, ops, _qft_ops(k)))
+    steps, order = _plan(k) if same else _decode(ops, k)
     # a single qubit is never reversed, so it needs only the scratch half
     spare = np.empty_like(view if k > 1 else view[:, :1])
-    scratch = spare.reshape(-1)[: view.size // 2]
-    pair = np.ones(2, dtype=view.dtype)
-
-    def part(*bits):
-        index = [slice(None)] * view.ndim
-        for q, b in bits:
-            index[axes[q]] = b
-        return view[tuple(index)]
-
-    for op in ops:
-        if op.name == "H":
-            i = op.targets[0]
-            if i < k // 2 and view is not spare:
-                np.copyto(spare, view.transpose(0, *range(k, 0, -1), k + 1))
-                view, scratch = spare, view.reshape(-1)[: view.size // 2]
-                axes = [k + 1 - a for a in axes]
-            # the dense kernel's rows s*p0 + s*p1 and s*p0 + (-s)*p1, less the sign of a zero
-            p0, p1 = part((i, 0)), part((i, 1))
+    cur, scratch = view.reshape(-1), spare.reshape(-1)[: view.size // 2]
+    for kind, (a, mid, z), c in steps:
+        v = cur.reshape(lead * a, *mid, z * m)
+        if kind == "H":
+            # the dense kernel's rows c*p0 + c*p1 and c*p0 + (-c)*p1, less the sign of a zero
+            p0, p1 = v[:, 0], v[:, 1]
             t = scratch.reshape(p0.shape)
-            s = op.gate.matrix[0, 0]
-            np.multiply(s, p0, out=t)
-            np.multiply(s, p1, out=p1)
+            np.multiply(c, p0, out=t)
+            np.multiply(c, p1, out=p1)
             np.add(t, p1, out=p0)
             np.subtract(t, p1, out=p1)
-        elif op.name == "CPHASE":
-            m, i, c = min(op.controls), op.targets[0], op.gate.matrix[1, 1]
-            if m < 3 <= i and view is not spare:
-                half = part((i, 1))
-                pair[1] = c
-                np.multiply(pair[_ROW_PICKS[m]], half, out=half)
-            else:
-                both = part((m, 1), (i, 1))
-                np.multiply(c, both, out=both)
-        elif op.gate == _SWAP and not op.controls:
-            a, b = op.targets
-            axes[a], axes[b] = axes[b], axes[a]
+        elif kind == "copy":
+            np.copyto(spare, v.transpose(0, *range(k, 0, -1), k + 1))
+            cur, scratch = spare.reshape(-1), cur[: cur.size // 2]
         else:
-            raise ValueError(f"the QFT walker cannot apply {op.name or 'an unnamed op'} on {op.qubits()}")
-    return np.ascontiguousarray(view.transpose(0, *(axes[q] for q in reversed(range(k))), k + 1))
+            part = v[:, 1, :, 1] if kind == "CPHASE" else v[:, 1]
+            np.multiply(c, part, out=part)
+    return np.ascontiguousarray(cur.reshape(view.shape).transpose(order))
 
 
 def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     """Apply the transform to a contiguous ascending qubit range, identity elsewhere.
 
     Bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)`` up to the
-    sign of an exact zero.  For two or more qubits the amplitudes end up in
-    the one state-size array the walk allocates, the reversed copy made
-    half-way through the ladder; the old array serves it as scratch.  The
-    walk runs with numpy's ufunc buffer at ``_BUFSIZE`` elements, so short
-    strided runs are not copied through the 8192-element default; numpy's
-    setting outside the call is left as it was, also when the walk raises.
+    sign of an exact zero; the ladder's plan is decoded once per width, and
+    per call if ``qft_circuit`` returns other ops.  For two or more qubits
+    the amplitudes end up in the one state-size array the walk allocates,
+    the reversed copy made half-way; the old array serves it as scratch.
+    The walk runs with numpy's ufunc buffer at ``_BUFSIZE`` elements, so
+    short strided runs are not copied through the 8192-element default;
+    numpy's setting outside the call is left as it was, also if it raises.
     """
     qubits = [int(q) for q in qubits]
     if not qubits:

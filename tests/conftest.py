@@ -34,6 +34,11 @@ def traced_peak():
         tracemalloc.stop()
 
 
+def assert_bitwise_equal(got, expect):
+    """Equal as raw 64-bit words: every bit of every float, signed zeros included."""
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
 class StubRng:
     """Stands in for ``numpy.random.Generator``: every uniform draw is ``u``."""
 

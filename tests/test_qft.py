@@ -18,7 +18,7 @@ from shorsim import (
     qft_circuit,
 )
 
-from conftest import random_state_vector, traced_peak
+from conftest import assert_bitwise_equal, random_state_vector, traced_peak
 
 
 def run_qft(amps) -> np.ndarray:
@@ -52,6 +52,20 @@ class TestReference:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             dft_reference([1, 0, 0])
+
+    def test_oversized_matrix_refused_before_allocating(self):
+        # the 2**14-square matrix would need 4 GiB; the refusal allocates nothing of it
+        amps = np.zeros(1 << 14, dtype=np.complex128)
+        with traced_peak() as peak:
+            with pytest.raises(ValueError, match=f"needs {16 << 28} bytes"):
+                dft_reference(amps)
+        assert peak.bytes < 1 << 20
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(qft_mod, "_DFT_MAX_QUBITS", 3)
+        np.testing.assert_allclose(dft_reference(np.eye(8)[0]), np.full(8, 8 ** -0.5), atol=1e-15)
+        with pytest.raises(ValueError, match="over the limit"):
+            dft_reference(np.eye(16)[0])
 
 
 class TestCircuit:
@@ -214,10 +228,6 @@ def walked(amps, lo, k) -> np.ndarray:
     return apply_qft_on(QuantumState(n, amps.copy()), range(lo, lo + k)).amplitudes
 
 
-def assert_bitwise_equal(got, expect):
-    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
-
-
 class TestFusedWalker:
     @pytest.mark.parametrize("n", range(1, 11))
     @settings(max_examples=8, deadline=None)
@@ -227,6 +237,13 @@ class TestFusedWalker:
         for k in range(1, n + 1):
             for lo in range(n - k + 1):
                 assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
+
+    # the widths full mode transforms, whole register and above qubit 0, and
+    # one range with qubits above it too (a lead axis longer than 1)
+    @pytest.mark.parametrize("n, lo, k", [(n, lo, n - lo) for n in (11, 12, 13) for lo in (0, 1)] + [(13, 2, 9)])
+    def test_bitwise_equal_at_the_widths_full_mode_runs(self, n, lo, k, rng):
+        amps = random_state_vector(n, rng)
+        assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
 
     def test_bitwise_equal_on_18_qubit_period_state(self):
         amps = build_period_state(18, 5, 91).amplitudes
@@ -297,3 +314,26 @@ class TestFusedWalker:
         monkeypatch.setattr(qft_mod, "qft_circuit", lambda k: true_builder(k).append(circ.x(0)))
         with pytest.raises(ValueError, match="cannot apply X"):
             apply_qft(basis_state(3, 0))
+
+
+class TestPlan:
+    def test_repeated_transforms_add_no_plan_miss(self, rng):
+        amps = random_state_vector(7, rng)
+        walked(amps, 0, 7)
+        before = qft_mod._plan.cache_info()
+        for _ in range(3):
+            walked(amps, 0, 7)
+        after = qft_mod._plan.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 3
+
+    def test_patched_ladder_bypasses_the_cached_plan(self, monkeypatch, rng):
+        amps = random_state_vector(3, rng)
+        exact = walked(amps, 0, 3)  # fills the cache at width 3
+        detuned = qft_circuit(3)
+        assert detuned.ops[1].name == "CPHASE"
+        detuned.ops[1] = circ.cphase(1, 2, np.pi / 2 + 0.125)
+        monkeypatch.setattr(qft_mod, "qft_circuit", lambda k: detuned)
+        got = walked(amps, 0, 3)
+        assert_bitwise_equal(got, detuned.run(QuantumState(3, amps.copy())).amplitudes)
+        assert not np.allclose(got, exact)

@@ -27,7 +27,7 @@ from shorsim import (
 )
 from shorsim.shor import MAX_RUNS, RunRecord, STATUS_NO_CANDIDATE
 
-from conftest import traced_peak
+from conftest import assert_bitwise_equal, traced_peak
 
 # Frozen driver seeds: each factors its modulus through the quantum path.
 DOCUMENTED_SEEDS = {15: 0, 21: 1, 35: 1}
@@ -82,9 +82,7 @@ class TestPrepareUniform:
         ladder = basis_state(n, 0)
         for q in range(n):
             ladder.apply_single(hadamard(), q)
-        np.testing.assert_array_equal(
-            prepare_uniform(n).amplitudes.view(np.uint64), ladder.amplitudes.view(np.uint64)
-        )
+        assert_bitwise_equal(prepare_uniform(n).amplitudes, ladder.amplitudes)
 
 
 class TestBuildPeriodState:
@@ -165,9 +163,7 @@ class TestRunOnceFull:
             expect = basis_state(total, 0)
             expect.amplitudes[: 1 << in_w] = prepare_uniform(in_w).amplitudes
             expect.apply_permutation(modexp_oracle(a, n_to_factor, in_w, out_w))
-            np.testing.assert_array_equal(
-                measured[0].view(np.uint64), expect.amplitudes.view(np.uint64)
-            )
+            assert_bitwise_equal(measured[0], expect.amplitudes)
 
     def test_skipping_f_measurement_leaves_marginal_unchanged(self):
         # exact distributions, no sampling: marginal with f unmeasured equals

@@ -19,7 +19,7 @@ from shorsim import (
 from shorsim.gates import Gate2, Gate4
 from shorsim.state import sample_indices
 
-from conftest import StubRng, random_state_vector, random_unitary, traced_peak
+from conftest import StubRng, assert_bitwise_equal, random_state_vector, random_unitary, traced_peak
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -266,9 +266,7 @@ class TestProbabilities:
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amps[::7] = complex(-0.0, -0.0)  # signed zeros in both parts
         re, im = amps.real, amps.imag
-        np.testing.assert_array_equal(
-            state_from(amps).probabilities().view(np.uint64), (re * re + im * im).view(np.uint64)
-        )
+        assert_bitwise_equal(state_from(amps).probabilities(), re * re + im * im)
 
     def test_weights_are_the_only_state_size_allocation(self):
         # float64 weights are half the complex128 state, and the im*im slices
@@ -458,7 +456,7 @@ def test_measure_subregister_is_bitwise_the_moveaxis_reference(case, seed, u):
     out = s.measure_subregister(qubits, StubRng(u))
     assert out.value == outcome
     assert np.float64(out.probability).view(np.uint64) == np.float64(p).view(np.uint64)
-    np.testing.assert_array_equal(s.amplitudes.view(np.uint64), collapsed.view(np.uint64))
+    assert_bitwise_equal(s.amplitudes, collapsed)
 
 
 # H on qubit 0 of 2 qubits: the CDF of [1/2, 1/2, 0, 0] ends just below 1
