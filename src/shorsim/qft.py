@@ -29,7 +29,6 @@ products on runs of 256-2048 amplitudes pay for that copy, not for the
 multiply.  The buffer changes no arithmetic, so the amplitudes are the same.
 """
 
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +48,7 @@ _BUFSIZE = 256
 _DFT_MAX_QUBITS = 11
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _dft_matrix(size: int) -> np.ndarray:
     x = np.arange(size)
     w = np.exp((2j * np.pi / size) * np.outer(x, x))
@@ -106,18 +105,14 @@ def _qft_ops(n: int) -> tuple[circ.GateOp, ...]:
 
 @lru_cache(maxsize=32)
 def _plan(k: int):
-    return _decode(_qft_ops(k), k)
-
-
-def _decode(ops, k: int):
-    """Steps of ``_walk`` for ladder ``ops`` on ``k`` qubits, and the final axis order.
+    """Steps of ``_walk`` for the ladder ``_qft_ops(k)``, and the final axis order.
 
     Step ``(kind, (a, mid, z), c)`` works on the amplitudes reshaped to ``(lead
     * a, *mid, z * m)``; qubit q is on bit ``pos[q]`` of the ladder index.  ``c``
     is read-only: a row, or a 0-d view, which a ufunc takes faster than a scalar.
     """
     pos, steps, reversed_ = list(range(k)), [], False
-    for op in ops:
+    for op in _qft_ops(k):
         if op.name == "H":
             i = op.targets[0]
             if i < k // 2 and not reversed_:
@@ -141,25 +136,22 @@ def _decode(ops, k: int):
     return tuple(steps), (0, *(k - pos[q] for q in reversed(range(k))), k + 1)
 
 
-def _walk(view: np.ndarray, ops) -> np.ndarray:
-    """Run ladder ``ops`` on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
+def _walk(view: np.ndarray) -> np.ndarray:
+    """Run the ladder on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
 
-    Returns the amplitudes after the ops, in the same layout.  The very ops
-    of ``qft_circuit(k)`` run as ``_plan(k)``, decoded once per width; any
-    other list, such as a patched ``qft_circuit``'s, is decoded per call.
-    Before the first H on a qubit below ``k//2`` the amplitudes are copied
-    once with the qubit axes reversed, so every later op fixes only high
-    axes, and the ladder's SWAPs, which only relabel axes, leave the copy in
-    order.  Until then a CPHASE controlled by one of the 3 lowest qubits
-    multiplies the target's whole bit-1 half by an 8-entry row of its
-    coefficient and exact ones; a product by exactly 1 can only flip the sign
-    of a zero, the latitude the butterfly already takes.  The copy's buffer
-    is allocated first: its first half is the H scratch until the copy, the
-    old amplitudes after.
+    Returns the amplitudes after the ladder, in the same layout; its ops run
+    as ``_plan(k)``, decoded once per width.  Before the first H on a qubit
+    below ``k//2`` the amplitudes are copied once with the qubit axes
+    reversed, so every later op fixes only high axes, and the ladder's SWAPs,
+    which only relabel axes, leave the copy in order.  Until then a CPHASE
+    controlled by one of the 3 lowest qubits multiplies the target's whole
+    bit-1 half by an 8-entry row of its coefficient and exact ones; a product
+    by exactly 1 can only flip the sign of a zero, the latitude the butterfly
+    already takes.  The copy's buffer is allocated first: its first half is
+    the H scratch until the copy, the old amplitudes after.
     """
     k, lead, m = view.ndim - 2, view.shape[0], view.shape[-1]
-    same = len(ops) == len(_qft_ops(k)) and all(map(operator.is_, ops, _qft_ops(k)))
-    steps, order = _plan(k) if same else _decode(ops, k)
+    steps, order = _plan(k)
     # a single qubit is never reversed, so it needs only the scratch half
     spare = np.empty_like(view if k > 1 else view[:, :1])
     cur, scratch = view.reshape(-1), spare.reshape(-1)[: view.size // 2]
@@ -186,13 +178,13 @@ def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     """Apply the transform to a contiguous ascending qubit range, identity elsewhere.
 
     Bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)`` up to the
-    sign of an exact zero; the ladder's plan is decoded once per width, and
-    per call if ``qft_circuit`` returns other ops.  For two or more qubits
-    the amplitudes end up in the one state-size array the walk allocates,
-    the reversed copy made half-way; the old array serves it as scratch.
-    The walk runs with numpy's ufunc buffer at ``_BUFSIZE`` elements, so
-    short strided runs are not copied through the 8192-element default;
-    numpy's setting outside the call is left as it was, also if it raises.
+    sign of an exact zero; the ladder's plan is decoded once per width.  For
+    two or more qubits the amplitudes end up in the one state-size array the
+    walk allocates, the reversed copy made half-way; the old array serves it
+    as scratch.  The walk runs with numpy's ufunc buffer at ``_BUFSIZE``
+    elements, so short strided runs are not copied through the 8192-element
+    default; numpy's setting outside the call is left as it was, also if it
+    raises.
     """
     qubits = [int(q) for q in qubits]
     if not qubits:
@@ -205,7 +197,7 @@ def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     view = state.amplitudes.reshape((-1,) + (2,) * k + (1 << lo,))
     with np.errstate():
         np.setbufsize(_BUFSIZE)
-        state.amplitudes = _walk(view, qft_circuit(k).ops).reshape(-1)
+        state.amplitudes = _walk(view).reshape(-1)
     return state
 
 

@@ -119,20 +119,23 @@ def choose_register_size(n: int) -> int:
     return (n * n - 1).bit_length()
 
 
-def prepare_uniform(n: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
-    """|0..0> with a Hadamard on every qubit: the unentangled uniform superposition.
+def _uniform_amplitude(n: int) -> np.complex128:
+    """Every amplitude of |0..0> after a Hadamard on each of ``n`` qubits, bitwise.
 
-    H on qubit q meets only the low ``2**q`` nonzero amplitudes ``lo``: ``h[1,0]*lo``
-    fills the next ``2**q`` and ``h[0,0]*lo`` scales ``lo`` in place, scalar-first
-    like ``_apply``, so each step is bitwise equal to ``apply_single``.
+    H on a qubit maps each nonzero amplitude ``u`` to ``h[0,0]*u`` and ``h[1,0]*u``,
+    scalar-first like ``_apply``, and ``h[1,0] == h[0,0]``; so every amplitude is
+    ``h[0,0]`` multiplied into 1.0 once per qubit, bitwise what ``apply_single`` gives.
     """
-    state = basis_state(n, 0, max_qubits=max_qubits)
-    h, amps = hadamard().matrix, state.amplitudes
-    for q in range(n):
-        lo = amps[: 1 << q]
-        np.multiply(h[1, 0], lo, out=amps[1 << q : 2 << q])
-        np.multiply(h[0, 0], lo, out=lo)
-    return state
+    h00, u = hadamard().matrix[0, 0], np.complex128(1.0)
+    for _ in range(n):
+        u = h00 * u
+    return u
+
+
+def prepare_uniform(n: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
+    """|0..0> with a Hadamard on every qubit: the unentangled uniform superposition."""
+    _check_width(n, max_qubits)
+    return QuantumState._checked_by_caller(n, np.full(1 << n, _uniform_amplitude(n)))
 
 
 def build_period_state(n: int, x0: int, r: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
@@ -200,7 +203,7 @@ def run_once_full(
     del oracle
     state = basis_state(total, 0, max_qubits=max_qubits)
     state.amplitudes[0] = 0.0  # |0, 0> moves to |0, f(0)> = |0, 1>
-    state.amplitudes[images] = prepare_uniform(in_w, max_qubits=max_qubits).amplitudes
+    state.amplitudes[images] = _uniform_amplitude(in_w)
 
     f_outcome = None
     if measure_f:
@@ -228,9 +231,11 @@ def run_once_hybrid(
     The order and a random offset stand in for oracle + output measurement; the Fourier
     transform, measurement and recovery run exactly as in full mode, at input-register
     width only.  ``multiplicative_order`` rejects a base sharing a factor with ``n_to_factor``.
+    An order of at least ``2**in_w`` gives every input its own f value, so the register
+    collapses to one basis state, uniform below ``2**in_w``: the period ``2**in_w`` does that.
     """
     in_w, _ = _widths(n_to_factor, n)
-    r = multiplicative_order(a, n_to_factor)
+    r = min(multiplicative_order(a, n_to_factor), 1 << in_w)
     x0 = int(rng.integers(0, r))
     state = build_period_state(in_w, x0, r, max_qubits=max_qubits)
     apply_qft_on(state, range(in_w))

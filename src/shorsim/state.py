@@ -142,8 +142,8 @@ class QuantumState:
 
     ``QuantumState(n, amplitudes)`` checks the shape and scans every amplitude
     for finiteness, since the array comes from outside.  Arrays the simulator
-    builds itself are adopted without the scan: ``basis_state``'s zeroed
-    array, ``copy()``, and full mode's collapsed input block.
+    builds itself are adopted without the scan: ``basis_state``'s and
+    ``prepare_uniform``'s, ``copy()``, and full mode's collapsed input block.
     """
 
     __slots__ = ("num_qubits", "amplitudes")

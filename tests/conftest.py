@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import shorsim.qft as qft_mod
+
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary from the QR decomposition of a complex Gaussian."""
@@ -32,6 +34,24 @@ def traced_peak():
         peak.bytes = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@contextmanager
+def patched_ladder(mutate):
+    """Run the block with the QFT ladder of every width ``k`` replaced by ``mutate(ops)``.
+
+    ``ops`` is the true ladder tuple ``qft._qft_ops(k)``.  The walk's plans are
+    cleared on entry and on exit, so the block walks the mutated ladder and no
+    plan decoded from it outlives the block.
+    """
+    true_ops = qft_mod._qft_ops
+    qft_mod._plan.cache_clear()
+    qft_mod._qft_ops = lambda k: tuple(mutate(true_ops(k)))
+    try:
+        yield
+    finally:
+        qft_mod._qft_ops = true_ops
+        qft_mod._plan.cache_clear()
 
 
 def assert_bitwise_equal(got, expect):

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shorsim
-import shorsim.qft as qft_mod
 from shorsim import Circuit, numtheory, selftest
+from shorsim import circuit as circ
 from shorsim.cli import main
 from shorsim.state import basis_state, sample_indices
 
-from conftest import traced_peak
+from conftest import patched_ladder, traced_peak
 
 BELL_FILE = "qubits 2\nH 0\nCNOT 0 1\n"
 
@@ -106,6 +106,11 @@ class TestFactor:
         payload = json.loads(out.read_text())
         assert payload["mode"] == "hybrid"
         assert all(run["f_outcome"] is None for run in payload["runs"])
+
+    def test_hybrid_register_narrower_than_the_order(self, capsys):
+        # most bases below 21 have order 6 > 2**2; full mode runs the same width
+        for seed in range(30):
+            assert main(["factor", "21", "--mode", "hybrid", "--qubits", "2", "--seed", str(seed)]) == 0
 
     def test_hybrid_flag(self, capsys):
         assert main(["factor", "35", "--mode", "hybrid", "--seed", "3"]) == 0
@@ -403,21 +408,14 @@ class TestSelftest:
         assert "period-state-geometry" in out
         assert "PASS" in out
 
-    def test_corrupted_transform_angle_names_failed_criterion(self, monkeypatch):
-        true_builder = qft_mod.qft_circuit
+    def test_corrupted_transform_angle_names_failed_criterion(self):
+        def corrupted(ops):
+            i = next(i for i, op in enumerate(ops) if op.name == "CPHASE")
+            op = ops[i]  # detune one controlled-phase angle
+            return (*ops[:i], circ.cphase(min(op.controls), op.targets[0], op.angle * 1.07), *ops[i + 1 :])
 
-        def corrupted(n):
-            from shorsim import circuit as circ
-
-            c = true_builder(n)
-            for i, op in enumerate(c.ops):
-                if op.name == "CPHASE":  # detune one controlled-phase angle
-                    c.ops[i] = circ.cphase(min(op.controls), op.targets[0], op.angle * 1.07)
-                    break
-            return c
-
-        monkeypatch.setattr(qft_mod, "qft_circuit", corrupted)
-        results = selftest.run_all(only=[1])
+        with patched_ladder(corrupted):
+            results = selftest.run_all(only=[1])
         assert not results[0].passed
         assert results[0].name == "period-7-transform-peaks"
 

@@ -1,6 +1,8 @@
 """Fourier-transform circuit against the direct reference transform."""
 
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from shorsim import (
     qft_circuit,
 )
 
-from conftest import assert_bitwise_equal, random_state_vector, traced_peak
+from conftest import assert_bitwise_equal, patched_ladder, random_state_vector, traced_peak
 
 
 def run_qft(amps) -> np.ndarray:
@@ -60,6 +62,20 @@ class TestReference:
             with pytest.raises(ValueError, match=f"needs {16 << 28} bytes"):
                 dft_reference(amps)
         assert peak.bytes < 1 << 20
+
+    def test_only_the_latest_matrix_is_kept(self):
+        # callers work one width at a time; an 11-qubit matrix (64 MiB) must
+        # not stay alive once a 10-qubit reference (16 MiB) has replaced it
+        qft_mod._dft_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in (11, 10):
+                dft_reference(np.eye(1 << n)[0])
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            qft_mod._dft_matrix.cache_clear()
+        assert kept < 1.25 * (16 << 20)
 
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(qft_mod, "_DFT_MAX_QUBITS", 3)
@@ -282,9 +298,9 @@ class TestFusedWalker:
         seen = []
         true_walk = qft_mod._walk
 
-        def spy(view, ops):
+        def spy(view):
             seen.append(np.getbufsize())
-            return true_walk(view, ops)
+            return true_walk(view)
 
         monkeypatch.setattr(qft_mod, "_walk", spy)
         apply_qft(basis_state(3, 0))
@@ -296,10 +312,8 @@ class TestFusedWalker:
             apply_qft(basis_state(5, 3))
             assert np.getbufsize() == 4096
 
-    def test_buffer_size_restored_after_walk_raises(self, monkeypatch):
-        true_builder = qft_mod.qft_circuit
-        monkeypatch.setattr(qft_mod, "qft_circuit", lambda k: true_builder(k).append(circ.x(0)))
-        with np.errstate():
+    def test_buffer_size_restored_after_walk_raises(self):
+        with patched_ladder(lambda ops: (*ops, circ.x(0))), np.errstate():
             np.setbufsize(4096)
             with pytest.raises(ValueError, match="cannot apply X"):
                 apply_qft(basis_state(3, 0))
@@ -309,11 +323,21 @@ class TestFusedWalker:
         with pytest.raises(ValueError, match="out of range"):
             apply_qft_on(basis_state(3, 0), [2, 3])
 
-    def test_op_outside_the_ladder_rejected(self, monkeypatch):
-        true_builder = qft_mod.qft_circuit
-        monkeypatch.setattr(qft_mod, "qft_circuit", lambda k: true_builder(k).append(circ.x(0)))
-        with pytest.raises(ValueError, match="cannot apply X"):
-            apply_qft(basis_state(3, 0))
+    def test_op_outside_the_ladder_rejected(self):
+        with patched_ladder(lambda ops: (*ops, circ.x(0))):
+            with pytest.raises(ValueError, match="cannot apply X"):
+                apply_qft(basis_state(3, 0))
+
+    def test_walk_builds_no_circuit(self, monkeypatch, rng):
+        # the walk reads only its cached plan; the circuit builder is the gate path's
+        amps = random_state_vector(6, rng)
+        expect = gate_ladder(amps, 0, 6)
+
+        def no_circuit(k):
+            raise AssertionError("the walk built qft_circuit")
+
+        monkeypatch.setattr(qft_mod, "qft_circuit", no_circuit)
+        assert_bitwise_equal(run_qft(amps), expect)
 
 
 class TestPlan:
@@ -327,13 +351,12 @@ class TestPlan:
         assert after.misses == before.misses
         assert after.hits == before.hits + 3
 
-    def test_patched_ladder_bypasses_the_cached_plan(self, monkeypatch, rng):
+    def test_detuned_ladder_drives_the_walk(self, rng):
         amps = random_state_vector(3, rng)
         exact = walked(amps, 0, 3)  # fills the cache at width 3
-        detuned = qft_circuit(3)
-        assert detuned.ops[1].name == "CPHASE"
-        detuned.ops[1] = circ.cphase(1, 2, np.pi / 2 + 0.125)
-        monkeypatch.setattr(qft_mod, "qft_circuit", lambda k: detuned)
-        got = walked(amps, 0, 3)
-        assert_bitwise_equal(got, detuned.run(QuantumState(3, amps.copy())).amplitudes)
+        assert qft_circuit(3).ops[1].name == "CPHASE"
+        with patched_ladder(lambda ops: (ops[0], circ.cphase(1, 2, np.pi / 2 + 0.125), *ops[2:])):
+            got = walked(amps, 0, 3)
+            assert_bitwise_equal(got, gate_ladder(amps, 0, 3))  # the builder runs the detuned ops too
         assert not np.allclose(got, exact)
+        assert_bitwise_equal(walked(amps, 0, 3), exact)

@@ -165,6 +165,16 @@ class TestRunOnceFull:
             expect.apply_permutation(modexp_oracle(a, n_to_factor, in_w, out_w))
             assert_bitwise_equal(measured[0], expect.amplitudes)
 
+    def test_hadamard_layer_builds_no_uniform_register(self, monkeypatch):
+        # the layer is one scalar written to the oracle's images, not a 2**in_w array
+        expect = [run_once_full(35, a, np.random.default_rng(a)) for a in (2, 3, 4)]
+
+        def no_register(*args, **kwargs):
+            raise AssertionError("the run built prepare_uniform's register")
+
+        monkeypatch.setattr(shor_mod, "prepare_uniform", no_register)
+        assert [run_once_full(35, a, np.random.default_rng(a)) for a in (2, 3, 4)] == expect
+
     def test_skipping_f_measurement_leaves_marginal_unchanged(self):
         # exact distributions, no sampling: marginal with f unmeasured equals
         # the f-measured conditional averaged over f outcomes
@@ -276,6 +286,12 @@ class TestHybrid:
     def test_hybrid_mode_factors(self):
         result = run_shor(ShorConfig(35, seed=3, mode="hybrid"))
         assert result.factors == (5, 7)
+
+    def test_order_past_the_register_collapses_to_one_input(self):
+        # the order of 2 mod 21 is 6 > 2**2: every input has its own f value
+        for seed in range(30):
+            rec = run_once_hybrid(21, 2, np.random.default_rng(seed), n=2)
+            assert 0 <= rec.y < 4
 
     def test_full_mode_falls_back_to_hybrid_under_cap(self):
         result = run_shor(ShorConfig(15, seed=0, max_qubits=10))
