@@ -15,8 +15,11 @@ width, each step on a 3- to 5-dimensional view, with the gate kernel's
 arithmetic in its operand order.  Half-way through the ladder it copies the
 amplitudes once with the qubit order reversed, so every op works on long
 contiguous runs and the SWAPs leave them in order; before that, a CPHASE
-controlled by one of the 3 lowest qubits multiplies the target's bit-1 half by
-a row of its coefficient and exact ones.  Its output is bitwise equal to
+controlled by one of the 8 lowest qubits multiplies the target's bit-1 half by
+a row of its coefficient and exact ones, up to 256 entries.  An H runs its four
+passes over at most 8192 pairs at a time, so the piece's operands stay in the
+core's L2 cache (cache blocking, as in Häner & Steiger, arXiv:1704.01127); on
+a register of up to 14 qubits, an H is one piece.  Its output is bitwise equal to
 ``qft_circuit(k).embedded(n, lo).run(state)`` except that an exact zero may
 come out with the other sign: the butterfly subtracts where the kernel adds a
 negated product, and a product by exactly 1 can only flip the sign of a zero.
@@ -40,9 +43,19 @@ from .state import QuantumState
 
 _SWAP = swap_gate()
 
-# ufunc buffer for the walk, in elements; of 64-8192, the fastest at 14-16
-# qubits and within 6% of the fastest (512) at 18-20
+# ufunc buffer for the walk, in elements; 1024 took 1.16-1.35x its time at
+# 11-20 qubits and 8192 1.21-1.92x
 _BUFSIZE = 256
+
+# pairs per piece of an H step, so t, p0 and p1 stay in L2 through its four
+# passes; 2**12 took 0.91-1.14x its time at 11-20 qubits and 2**14 0.89-1.05x,
+# inside the 0.77-1.09x that an identical copy of the walker read
+_PIECE = 2**13
+
+# a CPHASE controlled below bit min(_ROW_BITS, target) multiplies a row of
+# 2**_ROW_BITS entries; no rows took 1.08-1.36x its time at 11-20 qubits, 6 bits
+# 1.03-1.35x, and 10 bits tied but hold 1.6 MiB in a 20-qubit plan, not 0.4
+_ROW_BITS = 8
 
 # widest dense reference; its 2**11-square matrix peaks at 128 MiB (traced), 4x per qubit
 _DFT_MAX_QUBITS = 11
@@ -110,6 +123,8 @@ def _plan(k: int):
     Step ``(kind, (a, mid, z), c)`` works on the amplitudes reshaped to ``(lead
     * a, *mid, z * m)``; qubit q is on bit ``pos[q]`` of the ladder index.  ``c``
     is read-only: a row, or a 0-d view, which a ufunc takes faster than a scalar.
+    A row spans the ``min(_ROW_BITS, pos[target])`` lowest bits: a plan holds
+    up to ``_ROW_BITS`` rows of at most 4 KiB per qubit in the range's top half.
     """
     pos, steps, reversed_ = list(range(k)), [], False
     for op in _qft_ops(k):
@@ -122,10 +137,11 @@ def _plan(k: int):
         elif op.name == "CPHASE":
             m, i, c = min(op.controls), op.targets[0], op.gate.matrix[1, 1, ...]
             lo, hi = sorted((pos[m], pos[i]))
-            if pos[m] < 3 <= pos[i] and not reversed_:
-                row = np.array([1, c])[(np.arange(8)[:, None] >> lo) & 1]
+            rb = min(_ROW_BITS, hi)
+            if lo < rb and not reversed_:
+                row = np.array([1, c])[(np.arange(1 << rb)[:, None] >> lo) & 1]
                 row.setflags(write=False)
-                steps.append(("row", (1 << (k - 1 - hi), (2, 1 << (hi - 3), 8), 1), row))
+                steps.append(("row", (1 << (k - 1 - hi), (2, 1 << (hi - rb), 1 << rb), 1), row))
             else:
                 steps.append(("CPHASE", (1 << (k - 1 - hi), (2, 1 << (hi - lo - 1), 2), 1 << lo), c))
         elif op.gate == _SWAP and not op.controls:
@@ -144,11 +160,15 @@ def _walk(view: np.ndarray) -> np.ndarray:
     below ``k//2`` the amplitudes are copied once with the qubit axes
     reversed, so every later op fixes only high axes, and the ladder's SWAPs,
     which only relabel axes, leave the copy in order.  Until then a CPHASE
-    controlled by one of the 3 lowest qubits multiplies the target's whole
-    bit-1 half by an 8-entry row of its coefficient and exact ones; a product
-    by exactly 1 can only flip the sign of a zero, the latitude the butterfly
-    already takes.  The copy's buffer is allocated first: its first half is
-    the H scratch until the copy, the old amplitudes after.
+    controlled by a qubit below bit ``rb = min(_ROW_BITS, pos[target])``
+    multiplies the target's whole bit-1 half by a ``(2**rb, 1)`` row of its
+    coefficient and exact ones; a product by exactly 1 can only flip the sign
+    of a zero, the latitude the butterfly already takes.  An H runs its four
+    passes on one piece of the ``(lead * a, 2, z * m)`` view at a time, at
+    most ``_PIECE`` pairs cut from a row or whole rows grouped, so they
+    reread the piece from L2, not from memory.  The copy's buffer is allocated
+    first: its first half is the H scratch until the copy, the old amplitudes
+    after.
     """
     k, lead, m = view.ndim - 2, view.shape[0], view.shape[-1]
     steps, order = _plan(k)
@@ -158,13 +178,18 @@ def _walk(view: np.ndarray) -> np.ndarray:
     for kind, (a, mid, z), c in steps:
         v = cur.reshape(lead * a, *mid, z * m)
         if kind == "H":
-            # the dense kernel's rows c*p0 + c*p1 and c*p0 + (-c)*p1, less the sign of a zero
-            p0, p1 = v[:, 0], v[:, 1]
-            t = scratch.reshape(p0.shape)
-            np.multiply(c, p0, out=t)
-            np.multiply(c, p1, out=p1)
-            np.add(t, p1, out=p0)
-            np.subtract(t, p1, out=p1)
+            # the dense kernel's rows c*p0 + c*p1 and c*p0 + (-c)*p1, less the
+            # sign of a zero, a piece of at most _PIECE pairs at a time
+            rows, cols = lead * a, z * m
+            g, w = max(1, min(rows, _PIECE // cols)), min(cols, _PIECE)
+            t = scratch[: g * w].reshape(g, w)
+            for r in range(0, rows, g):
+                for j in range(0, cols, w):
+                    p0, p1 = v[r : r + g, 0, j : j + w], v[r : r + g, 1, j : j + w]
+                    np.multiply(c, p0, out=t)
+                    np.multiply(c, p1, out=p1)
+                    np.add(t, p1, out=p0)
+                    np.subtract(t, p1, out=p1)
         elif kind == "copy":
             np.copyto(spare, v.transpose(0, *range(k, 0, -1), k + 1))
             cur, scratch = spare.reshape(-1), cur[: cur.size // 2]
@@ -181,7 +206,8 @@ def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     sign of an exact zero; the ladder's plan is decoded once per width.  For
     two or more qubits the amplitudes end up in the one state-size array the
     walk allocates, the reversed copy made half-way; the old array serves it
-    as scratch.  The walk runs with numpy's ufunc buffer at ``_BUFSIZE``
+    as scratch.  Every piece of an H reuses the same ``_PIECE`` scratch
+    elements.  The walk runs with numpy's ufunc buffer at ``_BUFSIZE``
     elements, so short strided runs are not copied through the 8192-element
     default; numpy's setting outside the call is left as it was, also if it
     raises.

@@ -261,6 +261,14 @@ class TestFusedWalker:
         amps = random_state_vector(n, rng)
         assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
 
+    # past 14 qubits an H step runs in pieces of _PIECE pairs: cut from a row
+    # when the pairs' stride is that long, else whole rows grouped, and with
+    # qubits below the range (an offset) or above it (a lead axis)
+    @pytest.mark.parametrize("n, lo, k", [(15, 0, 15), (16, 1, 15), (16, 0, 15), (17, 2, 15), (16, 2, 14)])
+    def test_bitwise_equal_over_several_pieces(self, n, lo, k, rng):
+        amps = random_state_vector(n, rng)
+        assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
+
     def test_bitwise_equal_on_18_qubit_period_state(self):
         amps = build_period_state(18, 5, 91).amplitudes
         assert_bitwise_equal(walked(amps, 0, 18), gate_ladder(amps, 0, 18))
@@ -350,6 +358,14 @@ class TestPlan:
         after = qft_mod._plan.cache_info()
         assert after.misses == before.misses
         assert after.hits == before.hits + 3
+
+    def test_a_plan_holds_at_most_512_kib(self):
+        # most of it is the CPHASE rows of 2**_ROW_BITS entries, 4 KiB each
+        qft_mod._qft_ops(20)
+        qft_mod._plan.cache_clear()
+        with traced_peak() as peak:
+            qft_mod._plan(20)
+        assert peak.bytes <= 512 * 1024
 
     def test_detuned_ladder_drives_the_walk(self, rng):
         amps = random_state_vector(3, rng)
