@@ -26,6 +26,11 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_FAILED = 2
 
+# Cap on ``circuit run --shots``.  Shots are drawn and counted in blocks at
+# 45-212 ns each (4 and 16 qubits, uniform outcomes), so a capped run samples
+# for at most about 20 s; 10**12 shots would run for 12-59 hours.
+MAX_SHOTS = 10**8
+
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
@@ -103,8 +108,8 @@ def cmd_qft_demo(args) -> int:
 def cmd_circuit_run(args) -> int:
     with open(args.file) as fh:
         circuit = Circuit.parse(fh.read())
-    if args.shots < 1:
-        raise ValueError(f"shots must be at least 1, got {args.shots}")
+    if not 1 <= args.shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
 

@@ -39,18 +39,13 @@ import numpy as np
 from . import circuit as circ
 from .circuit import Circuit
 from .gates import swap_gate
-from .state import QuantumState
+from .state import _PIECE, QuantumState
 
 _SWAP = swap_gate()
 
 # ufunc buffer for the walk, in elements; 1024 took 1.16-1.35x its time at
 # 11-20 qubits and 8192 1.21-1.92x
 _BUFSIZE = 256
-
-# pairs per piece of an H step, so t, p0 and p1 stay in L2 through its four
-# passes; 2**12 took 0.91-1.14x its time at 11-20 qubits and 2**14 0.89-1.05x,
-# inside the 0.77-1.09x that an identical copy of the walker read
-_PIECE = 2**13
 
 # a CPHASE controlled below bit min(_ROW_BITS, target) multiplies a row of
 # 2**_ROW_BITS entries; no rows took 1.08-1.36x its time at 11-20 qubits, 6 bits

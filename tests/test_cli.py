@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import shorsim
 from shorsim import Circuit, numtheory, selftest
 from shorsim import circuit as circ
-from shorsim.cli import main
+from shorsim.cli import MAX_SHOTS, main
 from shorsim.state import basis_state, sample_indices
 
 from conftest import patched_ladder, traced_peak
@@ -234,6 +234,14 @@ class TestCircuitRun:
         assert "shots" in capsys.readouterr().err
         assert main(["circuit", "run", str(f), "--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_shots_over_the_cap_exit_before_simulating(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "bell.txt"
+        f.write_text(BELL_FILE)
+        monkeypatch.setattr(Circuit, "run", lambda *a: pytest.fail("simulated"))
+        for shots in (MAX_SHOTS + 1, 10**12):
+            assert main(["circuit", "run", str(f), "--shots", str(shots)]) == 1
+            assert f"[1, {MAX_SHOTS}]" in capsys.readouterr().err
 
 
 def _circuit_file(tmp_path, content: bytes):

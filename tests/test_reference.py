@@ -9,19 +9,21 @@ first.  The QFT is checked against both ``dft_reference`` and ``numpy.fft``.
 
 Each gate test draws dense random unitaries and monomial ones (a permutation
 times unit phases), which the kernel applies by moving and scaling slices; a
-bitwise test pins that path to the kernel's dense row formula.
+bitwise test pins both paths, the dense one also over several pieces, to the
+row formula.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shorsim import circuit as circ
 from shorsim.gates import Gate2, Gate4
 from shorsim.qft import apply_qft, dft_reference
-from shorsim.state import QuantumState
+from shorsim.state import QuantumState, _layout
 
-from conftest import StubRng, random_state_vector, random_unitary
+from conftest import StubRng, assert_bitwise_equal, random_state_vector, random_unitary
 
 I2 = np.eye(2, dtype=np.complex128)
 # E[i][j] = |i><j|
@@ -144,31 +146,66 @@ def row_formula(amps, m, targets, controls) -> np.ndarray:
     return out
 
 
+def apply_gate(state, m, targets, controls):
+    if len(targets) == 2:
+        return state.apply_two_qubit(Gate4(m), *targets)
+    if controls:
+        return state.apply_controlled(Gate2(m), set(controls), targets[0])
+    return state.apply_single(Gate2(m), targets[0])
+
+
 @SETTINGS
-@given(st.data(), seeds)
-def test_monomial_gates_equal_the_row_formula_bitwise(data, seed):
-    # Moving and scaling slices must round exactly like the dense formula
-    # (numpy's complex product is not symmetric in its operands).
+@given(st.data(), matrices, seeds)
+def test_gates_equal_the_row_formula_bitwise(data, make, seed):
+    # Dense gates run in pieces, monomial ones move and scale slices; both must
+    # round exactly like the row formula (numpy's complex product is not
+    # symmetric in its operands).  A dense gate keeps the formula's signed
+    # zeros too; a moved slice skips the formula's exact 0*x terms.
     rng = np.random.default_rng(seed)
     kind = data.draw(st.sampled_from(["single", "controlled", "two_qubit"]))
     if kind == "two_qubit":
-        n, targets = data.draw(placements(2, min_n=2))
+        n, targets = data.draw(placements(2, min_n=2, max_n=8))
         controls = []
     else:
         k = data.draw(st.integers(min_value=0, max_value=2 if kind == "controlled" else 0))
-        n, (t, *controls) = data.draw(placements(k + 1))
+        n, (t, *controls) = data.draw(placements(k + 1, max_n=8))
         targets = [t]
-    m = random_monomial(1 << len(targets), rng)
+    m = make(1 << len(targets), rng)
     amps = random_state_vector(n, rng)
-    state = state_from(amps)
-    if kind == "single":
-        state.apply_single(Gate2(m), targets[0])
-    elif kind == "controlled":
-        state.apply_controlled(Gate2(m), set(controls), targets[0])
-    else:
-        state.apply_two_qubit(Gate4(m), *targets)
+    amps[:: data.draw(st.integers(min_value=2, max_value=9))] = complex(-0.0, 0.0)
+    got = apply_gate(state_from(amps), m, targets, controls).amplitudes
     expect = row_formula(amps, m, targets, controls)
-    assert np.array_equal(state.amplitudes.view(np.float64), expect.view(np.float64))
+    if make is random_unitary:
+        assert_bitwise_equal(got, expect)
+    else:
+        assert np.array_equal(got.view(np.float64), expect.view(np.float64))
+
+
+# (n, targets, controls) of dense gates whose parts span several pieces of
+# 2**13 amplitudes, each run as the comment says
+MULTI_PIECE = [
+    pytest.param(15, [0], [], id="U2-target-0"),  # single amplitudes, read strided
+    pytest.param(16, [8], [], id="U2-target-8"),  # runs of 256, gathered
+    pytest.param(16, [15], [], id="U2-target-15"),  # runs of 2**13 fill a piece
+    pytest.param(16, [2, 15], [], id="U4-2-15"),  # one target below the pieces, one above
+    pytest.param(16, [14, 15], [], id="U4-top-pair"),
+    pytest.param(16, [15], [0], id="CU2-control-0-target-15"),  # control below the pieces
+    pytest.param(16, [1], [15], id="CU2-control-15-target-1"),  # control above, runs of 2
+    pytest.param(16, [0], [15], id="CU2-control-15-target-0"),
+    pytest.param(17, [0], [15], id="CU2-lead-axes-on-both-sides-of-the-control"),
+]
+
+
+@pytest.mark.parametrize("n, targets, controls", MULTI_PIECE)
+def test_multi_piece_gates_equal_the_row_formula_bitwise(n, targets, controls):
+    _, _, _, lead, _, _ = _layout(n, tuple(targets), frozenset(controls))
+    assert np.prod(lead) > 1
+    rng = np.random.default_rng(n + sum(targets))
+    m = random_unitary(1 << len(targets), rng)
+    amps = random_state_vector(n, rng)
+    amps[::5] = complex(0.0, -0.0)
+    state = apply_gate(state_from(amps), m, targets, controls)
+    assert_bitwise_equal(state.amplitudes, row_formula(amps, m, targets, controls))
 
 
 def test_two_qubit_reference_order_is_not_symmetric():

@@ -208,6 +208,22 @@ class TestApplyTwoQubit:
             basis_state(2, 0).apply_two_qubit(swap_gate(), 1, 1)
 
 
+@pytest.mark.parametrize("n", [16, 18])
+@pytest.mark.parametrize("targets", [(1,), (1, 2)], ids=["U2", "U4"])
+def test_dense_gate_scratch_does_not_grow_with_width(n, targets, rng):
+    # runs of two amplitudes are gathered: a U4 holds 9 scratch rows of 2**13
+    # amplitudes, 1.125 MiB at any width; whole-part temporaries peaked at
+    # 1.4-1.6 MiB at 16 qubits and 5.1-6.1 MiB at 18
+    s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
+    if len(targets) == 1:
+        gate, apply = Gate2(random_unitary(2, rng)), s.apply_single
+    else:
+        gate, apply = Gate4(random_unitary(4, rng)), s.apply_two_qubit
+    with traced_peak() as peak:
+        apply(gate, *targets)
+    assert peak.bytes <= 1.2 * 2**20
+
+
 class TestBasisPermutation:
     def test_identity_unchanged(self, rng):
         amps = random_state_vector(3, rng)
