@@ -20,7 +20,7 @@ from .circuit import Circuit
 from .numtheory import OrderSearchBudgetExceeded
 from .qft import apply_qft
 from .shor import MODES, ShorConfig, build_period_state, run_shor
-from .state import DEFAULT_MAX_QUBITS, basis_state, sample_indices
+from .state import DEFAULT_MAX_QUBITS, basis_state, draw_indices
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -117,15 +117,15 @@ def cmd_circuit_run(args) -> int:
     # independent inverse-CDF draw from it, exactly as if the state were
     # re-prepared and measured afresh.  Shots are drawn and counted in blocks,
     # so memory does not grow with their number; the generator yields the
-    # same variates however the draws are split.
+    # same variates however the draws are split, and the CDF is built once.
     state = circuit.run(basis_state(circuit.width, args.init))
     rng = np.random.default_rng(args.seed)
-    probs = state.probabilities()
-    counts = np.zeros(probs.size, dtype=np.int64)
-    block = max(probs.size, 1 << 16)
+    cdf = np.cumsum(state.probabilities())
+    counts = np.zeros(cdf.size, dtype=np.int64)
+    block = max(cdf.size, 1 << 16)
     for start in range(0, args.shots, block):
-        draws = sample_indices(probs, rng.random(min(block, args.shots - start)))
-        counts += np.bincount(draws, minlength=probs.size)
+        draws = draw_indices(cdf, rng.random(min(block, args.shots - start)))
+        counts += np.bincount(draws, minlength=cdf.size)
 
     rows = ["outcome,count"]
     for outcome in np.flatnonzero(counts):

@@ -16,10 +16,18 @@ arithmetic in its operand order.  Half-way through the ladder it copies the
 amplitudes once with the qubit order reversed, so every op works on long
 contiguous runs and the SWAPs leave them in order; before that, a CPHASE
 controlled by one of the 8 lowest qubits multiplies the target's bit-1 half by
-a row of its coefficient and exact ones, up to 256 entries.  An H runs its four
-passes over at most 8192 pairs at a time, so the piece's operands stay in the
-core's L2 cache (cache blocking, as in Häner & Steiger, arXiv:1704.01127); on
-a register of up to 14 qubits, an H is one piece.  Its output is bitwise equal to
+a row of its coefficient and exact ones, up to 256 entries.
+
+On a register of up to 14 qubits (``2 * _PIECE`` amplitudes, where every H is
+one piece) the plan is bound once per view shape to two buffers, as ufunc
+calls on views made at binding; a transform copies the amplitudes in, runs the
+calls under the program's lock and copies the result back, so the state keeps
+its array.  Each width holds the program of its latest shape: at most 512 KiB
+of buffers, 7 MiB over widths 1-14, for as long as ``_plan`` caches the width.
+A wider register is walked step by step, an H in pieces of at most 8192 pairs
+that stay in the core's L2 cache (cache blocking, as in Häner & Steiger,
+arXiv:1704.01127), into a reversed copy, the one state-size array it allocates.
+Either way the output is bitwise equal to
 ``qft_circuit(k).embedded(n, lo).run(state)`` except that an exact zero may
 come out with the other sign: the butterfly subtracts where the kernel adds a
 negated product, and a product by exactly 1 can only flip the sign of a zero.
@@ -29,9 +37,12 @@ The walk runs with numpy's ufunc buffer set to ``_BUFSIZE`` elements, scoped by
 copies an operand through that buffer whenever the view's contiguous run is
 shorter than about half of it; at the default 8192 elements, the walker's
 products on runs of 256-2048 amplitudes pay for that copy, not for the
-multiply.  The buffer changes no arithmetic, so the amplitudes are the same.
+multiply, and a bound program's runs of 16-128 amplitudes would make numpy
+allocate the buffers on every call.  The buffer changes no arithmetic, so the
+amplitudes are the same.
 """
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -43,9 +54,11 @@ from .state import _PIECE, QuantumState
 
 _SWAP = swap_gate()
 
-# ufunc buffer for the walk, in elements; 1024 took 1.16-1.35x its time at
-# 11-20 qubits and 8192 1.21-1.92x
-_BUFSIZE = 256
+# ufunc buffer for the walk, in elements; 256 took 1.02-1.07x its time at
+# 8-13 qubits, where it buffers runs of 32-64 amplitudes through 12 KiB
+# allocated per call, and tied at 14-20 qubits; against 256, 1024 took
+# 1.16-1.35x the time at 11-20 qubits and 8192 1.21-1.92x
+_BUFSIZE = 32
 
 # a CPHASE controlled below bit min(_ROW_BITS, target) multiplies a row of
 # 2**_ROW_BITS entries; no rows took 1.08-1.36x its time at 11-20 qubits, 6 bits
@@ -113,13 +126,15 @@ def _qft_ops(n: int) -> tuple[circ.GateOp, ...]:
 
 @lru_cache(maxsize=32)
 def _plan(k: int):
-    """Steps of ``_walk`` for the ladder ``_qft_ops(k)``, and the final axis order.
+    """Steps of ``_walk`` for the ladder ``_qft_ops(k)``, the final axis order and a program slot.
 
     Step ``(kind, (a, mid, z), c)`` works on the amplitudes reshaped to ``(lead
     * a, *mid, z * m)``; qubit q is on bit ``pos[q]`` of the ladder index.  ``c``
     is read-only: a row, or a 0-d view, which a ufunc takes faster than a scalar.
     A row spans the ``min(_ROW_BITS, pos[target])`` lowest bits: a plan holds
     up to ``_ROW_BITS`` rows of at most 4 KiB per qubit in the range's top half.
+    The slot, a one-item list, holds the steps bound by ``_bind`` to the
+    latest view shape of at most ``2 * _PIECE`` amplitudes, or None.
     """
     pos, steps, reversed_ = list(range(k)), [], False
     for op in _qft_ops(k):
@@ -144,15 +159,48 @@ def _plan(k: int):
             pos[a], pos[b] = pos[b], pos[a]
         else:
             raise ValueError(f"the QFT walker cannot apply {op.name or 'an unnamed op'} on {op.qubits()}")
-    return tuple(steps), (0, *(k - pos[q] for q in reversed(range(k))), k + 1)
+    return tuple(steps), (0, *(k - pos[q] for q in reversed(range(k))), k + 1), [None]
+
+
+def _bind(steps, order, shape):
+    """``steps`` bound to two buffers of ``shape``: ``(first, calls, out, lock)``.
+
+    The ``(ufunc, args)`` calls take the amplitudes in ``first`` through the
+    ladder and leave them in ``out``.  An H scales the whole buffer in place
+    and writes the halves' sum and difference into the other: the products
+    and sums of the walker's four passes, in three calls.
+    """
+    lead, m, k = shape[0], shape[-1], len(shape) - 2
+    cur, other = np.empty((2, lead * m << k), dtype=np.complex128)
+    first, calls = cur.reshape(shape), []
+    for kind, (a, mid, z), c in steps:
+        v = cur.reshape(lead * a, *mid, z * m)
+        if kind == "H":
+            w = other.reshape(v.shape)
+            calls += [
+                (np.multiply, (c, cur, cur)),
+                (np.add, (v[:, 0], v[:, 1], w[:, 0])),
+                (np.subtract, (v[:, 0], v[:, 1], w[:, 1])),
+            ]
+            cur, other = other, cur
+        elif kind == "copy":
+            calls.append((np.copyto, (other.reshape(shape), v.transpose(0, *range(k, 0, -1), k + 1))))
+            cur, other = other, cur
+        else:
+            part = v[:, 1, :, 1] if kind == "CPHASE" else v[:, 1]
+            calls.append((np.multiply, (c, part, part)))
+    return first, tuple(calls), cur.reshape(shape).transpose(order), threading.Lock()
 
 
 def _walk(view: np.ndarray) -> np.ndarray:
     """Run the ladder on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
 
     Returns the amplitudes after the ladder, in the same layout; its ops run
-    as ``_plan(k)``, decoded once per width.  Before the first H on a qubit
-    below ``k//2`` the amplitudes are copied once with the qubit axes
+    as ``_plan(k)``, decoded once per width.  A view of at most ``2 * _PIECE``
+    amplitudes runs the program of the plan's slot, bound on the first call
+    with its shape, and gets the result written back: the return value is
+    ``view``.  A wider view is walked step by step.  Before the first H on a
+    qubit below ``k//2`` the amplitudes are copied once with the qubit axes
     reversed, so every later op fixes only high axes, and the ladder's SWAPs,
     which only relabel axes, leave the copy in order.  Until then a CPHASE
     controlled by a qubit below bit ``rb = min(_ROW_BITS, pos[target])``
@@ -166,7 +214,18 @@ def _walk(view: np.ndarray) -> np.ndarray:
     after.
     """
     k, lead, m = view.ndim - 2, view.shape[0], view.shape[-1]
-    steps, order = _plan(k)
+    steps, order, slot = _plan(k)
+    if view.size <= 2 * _PIECE:
+        program = slot[0]
+        if program is None or program[0].shape != view.shape:
+            program = slot[0] = _bind(steps, order, view.shape)
+        first, calls, out, lock = program
+        with lock:
+            np.copyto(first, view)
+            for f, args in calls:
+                f(*args)
+            np.copyto(view, out)
+        return view
     # a single qubit is never reversed, so it needs only the scratch half
     spare = np.empty_like(view if k > 1 else view[:, :1])
     cur, scratch = view.reshape(-1), spare.reshape(-1)[: view.size // 2]
@@ -198,14 +257,17 @@ def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     """Apply the transform to a contiguous ascending qubit range, identity elsewhere.
 
     Bitwise equal to ``qft_circuit(k).embedded(n, lo).run(state)`` up to the
-    sign of an exact zero; the ladder's plan is decoded once per width.  For
-    two or more qubits the amplitudes end up in the one state-size array the
-    walk allocates, the reversed copy made half-way; the old array serves it
-    as scratch.  Every piece of an H reuses the same ``_PIECE`` scratch
-    elements.  The walk runs with numpy's ufunc buffer at ``_BUFSIZE``
-    elements, so short strided runs are not copied through the 8192-element
-    default; numpy's setting outside the call is left as it was, also if it
-    raises.
+    sign of an exact zero; the ladder's plan is decoded once per width.  On a
+    register of up to 14 qubits it runs in place and allocates nothing,
+    through a program bound once per shape that holds two state-size buffers
+    (7 MiB at most over all widths) and a lock, so concurrent transforms of
+    one shape take turns.  On a wider register, for two or more qubits the
+    amplitudes end up in the one state-size array the walk allocates, the
+    reversed copy made half-way; the old array serves it as scratch.  Every piece of an H reuses
+    the same ``_PIECE`` scratch elements.  The walk runs with numpy's ufunc
+    buffer at ``_BUFSIZE`` elements, so short strided runs are not copied
+    through the 8192-element default; numpy's setting outside the call is
+    left as it was, also if it raises.
     """
     qubits = [int(q) for q in qubits]
     if not qubits:
@@ -218,10 +280,14 @@ def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     view = state.amplitudes.reshape((-1,) + (2,) * k + (1 << lo,))
     with np.errstate():
         np.setbufsize(_BUFSIZE)
-        state.amplitudes = _walk(view).reshape(-1)
+        out = _walk(view)
+    if out is not view:
+        state.amplitudes = out.reshape(-1)
     return state
 
 
 def apply_qft(state: QuantumState) -> QuantumState:
-    """Apply the transform to the whole register."""
+    """Apply the transform to the whole register; on 0 qubits it is the identity."""
+    if state.num_qubits == 0:
+        return state
     return apply_qft_on(state, range(state.num_qubits))

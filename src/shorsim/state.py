@@ -114,7 +114,11 @@ def sample_indices(weights, u):
     ``ValueError`` unless the total weight is positive: with no mass there is
     nothing to draw.
     """
-    cdf = np.cumsum(weights)
+    return draw_indices(np.cumsum(weights), u)
+
+
+def draw_indices(cdf: np.ndarray, u):
+    """``sample_indices`` from the running sum ``cdf`` of the weights, built once by the caller."""
     if not cdf[-1] > 0:
         raise ValueError(f"cannot sample from total weight {cdf[-1]}")
     return np.minimum(np.searchsorted(cdf, u, side="right"), np.searchsorted(cdf, cdf[-1]))

@@ -165,6 +165,12 @@ class TestQftDemo:
                      "--stage", "before"]) == 1
         assert "x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["before", "after"])
+    def test_zero_qubit_register_is_one_row(self, stage, capsys):
+        # the transform of one amplitude is the identity
+        assert main(["qft-demo", "--n", "0", "--x0", "0", "--r", "1", "--stage", stage]) == 0
+        assert capsys.readouterr().out == "index,probability\n0,1\n"
+
     def test_stdout_default(self, capsys):
         assert main(["qft-demo", "--n", "2", "--x0", "0", "--r", "2",
                      "--stage", "before"]) == 0
@@ -211,6 +217,19 @@ class TestCircuitRun:
         draws = sample_indices(probs, np.random.default_rng(7).random(shots))
         counts = np.bincount(draws, minlength=4)
         assert read_csv(out)[1] == [["0", str(counts[0])], ["3", str(counts[3])]]
+
+    def test_blocks_draw_what_one_array_draws(self, tmp_path):
+        # four unequal outcomes, and a last block shorter than the others
+        f = tmp_path / "skew.txt"
+        f.write_text("qubits 2\nU2 0 0.6 0 0.8 0 -0.8 0 0.6 0\nU2 1 0.28 0 0.96 0 0.96 0 -0.28 0\n")
+        out = tmp_path / "hist.csv"
+        shots = (1 << 17) + 12345
+        assert main(["circuit", "run", str(f), "--shots", str(shots), "--seed", "11", "--out", str(out)]) == 0
+        probs = Circuit.parse(f.read_text()).run(basis_state(2, 0)).probabilities()
+        counts = np.bincount(sample_indices(probs, np.random.default_rng(11).random(shots)), minlength=4)
+        assert np.count_nonzero(counts) == 4
+        rows = "".join(f"{o},{c}\n" for o, c in enumerate(counts))
+        assert out.read_text() == "outcome,count\n" + rows
 
     def test_malformed_line_reports_position(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"

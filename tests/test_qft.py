@@ -1,6 +1,8 @@
 """Fourier-transform circuit against the direct reference transform."""
 
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,6 +145,15 @@ class TestCircuit:
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
             qft_circuit(0)
+        with pytest.raises(ValueError, match="must not be empty"):
+            apply_qft_on(basis_state(2, 0), [])
+
+    def test_zero_qubit_transform_is_the_identity(self):
+        # one amplitude, as dft_reference takes it
+        state = QuantumState(0, np.array([0.6 - 0.8j]))
+        assert apply_qft(state) is state
+        assert_bitwise_equal(state.amplitudes, dft_reference([0.6 - 0.8j]))
+        assert_bitwise_equal(state.amplitudes, np.array([0.6 - 0.8j]))
 
     def test_unitarity(self, rng):
         amps = random_state_vector(6, rng)
@@ -254,9 +265,12 @@ class TestFusedWalker:
             for lo in range(n - k + 1):
                 assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
 
-    # the widths full mode transforms, whole register and above qubit 0, and
-    # one range with qubits above it too (a lead axis longer than 1)
-    @pytest.mark.parametrize("n, lo, k", [(n, lo, n - lo) for n in (11, 12, 13) for lo in (0, 1)] + [(13, 2, 9)])
+    # the widths full mode transforms, up to 14 qubits a bound program: whole
+    # register and above qubit 0 (an offset axis), and ranges with qubits
+    # above them too (a lead axis longer than 1)
+    @pytest.mark.parametrize(
+        "n, lo, k", [(n, lo, n - lo) for n in (11, 12, 13, 14) for lo in (0, 1)] + [(13, 2, 9), (14, 2, 9), (14, 0, 11)]
+    )
     def test_bitwise_equal_at_the_widths_full_mode_runs(self, n, lo, k, rng):
         amps = random_state_vector(n, rng)
         assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
@@ -290,6 +304,47 @@ class TestFusedWalker:
         with traced_peak() as peak:
             apply_qft(state)
         assert peak.bytes <= 1.25 * state.amplitudes.nbytes
+
+    @pytest.mark.parametrize("n", [11, 14])
+    def test_in_place_and_allocation_free_once_bound(self, n, rng):
+        state = QuantumState(n, random_state_vector(n, rng))
+        expect = gate_ladder(state.amplitudes, 0, n)
+        apply_qft(QuantumState(n, state.amplitudes.copy()))  # binds the program for this shape
+        amps = state.amplitudes
+        with traced_peak() as peak:
+            apply_qft(state)
+        assert peak.bytes < 4096
+        assert state.amplitudes is amps
+        assert_bitwise_equal(amps, expect)
+
+    def test_threads_give_the_serial_bits(self, rng):
+        # every thread transforms its own state through the one program its shape binds
+        starts = [random_state_vector(11, rng) for _ in range(4)]
+        serial = []
+        for amps in starts:
+            state = QuantumState(11, amps.copy())
+            for _ in range(100):
+                apply_qft(state)
+            serial.append(state.amplitudes)
+        states = [QuantumState(11, amps.copy()) for amps in starts]
+
+        def transform(state):
+            for _ in range(100):
+                apply_qft(state)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=transform, args=(s,)) for s in states]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for state, expect in zip(states, serial):
+            assert_bitwise_equal(state.amplitudes, expect)
 
     @pytest.mark.parametrize("n", [12, 14])
     def test_result_independent_of_callers_buffer_size(self, n, rng):
@@ -366,6 +421,27 @@ class TestPlan:
         with traced_peak() as peak:
             qft_mod._plan(20)
         assert peak.bytes <= 512 * 1024
+
+    def test_bound_programs_hold_7_mib_of_buffers_at_most(self, rng):
+        # each width keeps one program, two buffers of at most 2**14 amplitudes
+        # (512 KiB), plus its views (0.26 MiB over all 14 widths); a new shape
+        # at a width replaces the old one
+        state = QuantumState(14, random_state_vector(14, rng))
+        qft_mod._plan.cache_clear()
+        for k in range(1, 15):
+            qft_mod._plan(k)
+        try:
+            tracemalloc.start()
+            base, _ = tracemalloc.get_traced_memory()
+            for k in range(1, 15):
+                apply_qft_on(state, range(k))  # a lead axis of 2**(14-k)
+            for k in range(1, 15):
+                apply_qft_on(state, range(14 - k, 14))  # an offset axis instead
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            qft_mod._plan.cache_clear()
+        assert 14 * 512 * 1024 <= kept <= 7.5 * 2**20
 
     def test_detuned_ladder_drives_the_walk(self, rng):
         amps = random_state_vector(3, rng)
