@@ -18,16 +18,18 @@ contiguous runs and the SWAPs leave them in order; before that, a CPHASE
 controlled by one of the 8 lowest qubits multiplies the target's bit-1 half by
 a row of its coefficient and exact ones, up to 256 entries.
 
-On a register of up to 14 qubits (``2 * _PIECE`` amplitudes, where every H is
-one piece) the plan is bound once per view shape to two buffers, as ufunc
-calls on views made at binding; a transform copies the amplitudes in, runs the
-calls under the program's lock and copies the result back, so the state keeps
-its array.  Each width holds the program of its latest shape: at most 512 KiB
-of buffers, 7 MiB over widths 1-14, for as long as ``_plan`` caches the width.
-A wider register is walked step by step, an H in pieces of at most 8192 pairs
-that stay in the core's L2 cache (cache blocking, as in Häner & Steiger,
-arXiv:1704.01127), into a reversed copy, the one state-size array it allocates.
-Either way the output is bitwise equal to
+``_bind`` alone turns the plan into ufunc calls on views of two buffers.  On a
+register of up to 14 qubits (``2 * _PIECE`` amplitudes, where every H is one
+piece) they are bound once per view shape to two cached buffers; a transform
+copies the amplitudes in, runs the calls under the program's lock and copies
+the result back, so the state keeps its array.  Each width holds the program
+of its latest shape: at most 512 KiB of buffers, 7 MiB over widths 1-14, for
+as long as ``_plan`` caches the width.  A wider register is bound per call onto
+its own array and one spare, the reversed copy and the one state-size array it
+allocates (one qubit, never reversed, gets a piece of scratch instead), and an
+H runs in pieces of at most 8192 pairs that stay in the core's L2 cache (cache
+blocking, as in Häner & Steiger, arXiv:1704.01127).  The output is bitwise
+equal to
 ``qft_circuit(k).embedded(n, lo).run(state)`` except that an exact zero may
 come out with the other sign: the butterfly subtracts where the kernel adds a
 negated product, and a product by exactly 1 can only flip the sign of a zero.
@@ -126,7 +128,7 @@ def _qft_ops(n: int) -> tuple[circ.GateOp, ...]:
 
 @lru_cache(maxsize=32)
 def _plan(k: int):
-    """Steps of ``_walk`` for the ladder ``_qft_ops(k)``, the final axis order and a program slot.
+    """Steps of the ladder ``_qft_ops(k)``, the final axis order and a program slot.
 
     Step ``(kind, (a, mid, z), c)`` works on the amplitudes reshaped to ``(lead
     * a, *mid, z * m)``; qubit q is on bit ``pos[q]`` of the ladder index.  ``c``
@@ -162,20 +164,25 @@ def _plan(k: int):
     return tuple(steps), (0, *(k - pos[q] for q in reversed(range(k))), k + 1), [None]
 
 
-def _bind(steps, order, shape):
-    """``steps`` bound to two buffers of ``shape``: ``(first, calls, out, lock)``.
+def _bind(steps, order, shape, cur, other):
+    """``steps`` as ``(ufunc, args)`` calls on the flat buffers ``cur`` and ``other``.
 
-    The ``(ufunc, args)`` calls take the amplitudes in ``first`` through the
-    ladder and leave them in ``out``.  An H scales the whole buffer in place
-    and writes the halves' sum and difference into the other: the products
-    and sums of the walker's four passes, in three calls.
+    Returns ``(calls, out)``: the calls take the amplitudes in ``cur``, viewed
+    as ``shape``, through the ladder and leave them in ``out``, a view of
+    either buffer.  An H of at most ``_PIECE`` pairs scales the whole buffer in
+    place and writes the halves' sum and difference into the other: the
+    products and sums of the four passes below, in three calls.  A wider H
+    runs its four passes in place on one piece of the ``(lead * a, 2, z * m)``
+    view at a time, at most ``_PIECE`` pairs cut from a row or whole rows
+    grouped, so they reread the piece from L2, not from memory, with the first
+    ``g * w`` elements of ``other`` as scratch: until the reversal's
+    ``copyto`` into it, ``other`` may be one piece long.
     """
     lead, m, k = shape[0], shape[-1], len(shape) - 2
-    cur, other = np.empty((2, lead * m << k), dtype=np.complex128)
-    first, calls = cur.reshape(shape), []
+    size, calls = lead * m << k, []
     for kind, (a, mid, z), c in steps:
         v = cur.reshape(lead * a, *mid, z * m)
-        if kind == "H":
+        if kind == "H" and size <= 2 * _PIECE:
             w = other.reshape(v.shape)
             calls += [
                 (np.multiply, (c, cur, cur)),
@@ -183,74 +190,56 @@ def _bind(steps, order, shape):
                 (np.subtract, (v[:, 0], v[:, 1], w[:, 1])),
             ]
             cur, other = other, cur
+        elif kind == "H":
+            # the dense kernel's rows c*p0 + c*p1 and c*p0 + (-c)*p1, less the
+            # sign of a zero, a piece of at most _PIECE pairs at a time
+            rows, cols = lead * a, z * m
+            g, w = max(1, min(rows, _PIECE // cols)), min(cols, _PIECE)
+            t = other[: g * w].reshape(g, w)
+            for r in range(0, rows, g):
+                for j in range(0, cols, w):
+                    p0, p1 = v[r : r + g, 0, j : j + w], v[r : r + g, 1, j : j + w]
+                    calls += [(np.multiply, (c, p0, t)), (np.multiply, (c, p1, p1))]
+                    calls += [(np.add, (t, p1, p0)), (np.subtract, (t, p1, p1))]
         elif kind == "copy":
             calls.append((np.copyto, (other.reshape(shape), v.transpose(0, *range(k, 0, -1), k + 1))))
             cur, other = other, cur
         else:
             part = v[:, 1, :, 1] if kind == "CPHASE" else v[:, 1]
             calls.append((np.multiply, (c, part, part)))
-    return first, tuple(calls), cur.reshape(shape).transpose(order), threading.Lock()
+    return tuple(calls), cur.reshape(shape).transpose(order)
 
 
 def _walk(view: np.ndarray) -> np.ndarray:
     """Run the ladder on a ``(-1, 2, ..., 2, m)`` view, qubit q on axis k - q.
 
-    Returns the amplitudes after the ladder, in the same layout; its ops run
-    as ``_plan(k)``, decoded once per width.  A view of at most ``2 * _PIECE``
-    amplitudes runs the program of the plan's slot, bound on the first call
-    with its shape, and gets the result written back: the return value is
-    ``view``.  A wider view is walked step by step.  Before the first H on a
-    qubit below ``k//2`` the amplitudes are copied once with the qubit axes
-    reversed, so every later op fixes only high axes, and the ladder's SWAPs,
-    which only relabel axes, leave the copy in order.  Until then a CPHASE
-    controlled by a qubit below bit ``rb = min(_ROW_BITS, pos[target])``
-    multiplies the target's whole bit-1 half by a ``(2**rb, 1)`` row of its
-    coefficient and exact ones; a product by exactly 1 can only flip the sign
-    of a zero, the latitude the butterfly already takes.  An H runs its four
-    passes on one piece of the ``(lead * a, 2, z * m)`` view at a time, at
-    most ``_PIECE`` pairs cut from a row or whole rows grouped, so they
-    reread the piece from L2, not from memory.  The copy's buffer is allocated
-    first: its first half is the H scratch until the copy, the old amplitudes
-    after.
+    Returns the amplitudes after the ladder, in the same layout.  A view of at
+    most ``2 * _PIECE`` amplitudes runs, under its lock, the program in the
+    plan's slot, bound on the first call with its shape to two buffers of its
+    size, and gets the result written back: the return value is ``view``.  A
+    wider view is bound per call onto its own array and a spare that holds
+    the result after the reversal, so no state-size buffer outlives the call;
+    one qubit is never reversed, so its spare is the pieces' scratch alone.
     """
-    k, lead, m = view.ndim - 2, view.shape[0], view.shape[-1]
+    k = view.ndim - 2
     steps, order, slot = _plan(k)
-    if view.size <= 2 * _PIECE:
-        program = slot[0]
-        if program is None or program[0].shape != view.shape:
-            program = slot[0] = _bind(steps, order, view.shape)
-        first, calls, out, lock = program
-        with lock:
-            np.copyto(first, view)
-            for f, args in calls:
-                f(*args)
-            np.copyto(view, out)
-        return view
-    # a single qubit is never reversed, so it needs only the scratch half
-    spare = np.empty_like(view if k > 1 else view[:, :1])
-    cur, scratch = view.reshape(-1), spare.reshape(-1)[: view.size // 2]
-    for kind, (a, mid, z), c in steps:
-        v = cur.reshape(lead * a, *mid, z * m)
-        if kind == "H":
-            # the dense kernel's rows c*p0 + c*p1 and c*p0 + (-c)*p1, less the
-            # sign of a zero, a piece of at most _PIECE pairs at a time
-            rows, cols = lead * a, z * m
-            g, w = max(1, min(rows, _PIECE // cols)), min(cols, _PIECE)
-            t = scratch[: g * w].reshape(g, w)
-            for r in range(0, rows, g):
-                for j in range(0, cols, w):
-                    p0, p1 = v[r : r + g, 0, j : j + w], v[r : r + g, 1, j : j + w]
-                    np.multiply(c, p0, out=t)
-                    np.multiply(c, p1, out=p1)
-                    np.add(t, p1, out=p0)
-                    np.subtract(t, p1, out=p1)
-        elif kind == "copy":
-            np.copyto(spare, v.transpose(0, *range(k, 0, -1), k + 1))
-            cur, scratch = spare.reshape(-1), cur[: cur.size // 2]
-        else:
-            part = v[:, 1, :, 1] if kind == "CPHASE" else v[:, 1]
-            np.multiply(c, part, out=part)
-    return np.ascontiguousarray(cur.reshape(view.shape).transpose(order))
+    if view.size > 2 * _PIECE:
+        spare = np.empty(view.size if k > 1 else _PIECE, dtype=np.complex128)
+        calls, out = _bind(steps, order, view.shape, view.reshape(-1), spare)
+        for f, args in calls:
+            f(*args)
+        return out
+    program = slot[0]
+    if program is None or program[0].shape != view.shape:
+        cur, other = np.empty((2, view.size), dtype=np.complex128)
+        program = slot[0] = (cur.reshape(view.shape), *_bind(steps, order, view.shape, cur, other), threading.Lock())
+    first, calls, out, lock = program
+    with lock:
+        np.copyto(first, view)
+        for f, args in calls:
+            f(*args)
+        np.copyto(view, out)
+    return view
 
 
 def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
@@ -261,13 +250,14 @@ def apply_qft_on(state: QuantumState, qubits) -> QuantumState:
     register of up to 14 qubits it runs in place and allocates nothing,
     through a program bound once per shape that holds two state-size buffers
     (7 MiB at most over all widths) and a lock, so concurrent transforms of
-    one shape take turns.  On a wider register, for two or more qubits the
-    amplitudes end up in the one state-size array the walk allocates, the
-    reversed copy made half-way; the old array serves it as scratch.  Every piece of an H reuses
-    the same ``_PIECE`` scratch elements.  The walk runs with numpy's ufunc
-    buffer at ``_BUFSIZE`` elements, so short strided runs are not copied
-    through the 8192-element default; numpy's setting outside the call is
-    left as it was, also if it raises.
+    one shape take turns.  A wider register is bound per call and shares no
+    buffer with other calls: for two or more qubits the amplitudes end up in
+    the one state-size array the call allocates, the reversed copy made
+    half-way, and a single qubit stays in its array, with one piece of
+    scratch.  The transform runs with numpy's ufunc buffer at ``_BUFSIZE``
+    elements, so short strided runs are not copied through the 8192-element
+    default; numpy's setting outside the call is left as it was, also if it
+    raises.
     """
     qubits = [int(q) for q in qubits]
     if not qubits:

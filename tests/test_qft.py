@@ -277,8 +277,12 @@ class TestFusedWalker:
 
     # past 14 qubits an H step runs in pieces of _PIECE pairs: cut from a row
     # when the pairs' stride is that long, else whole rows grouped, and with
-    # qubits below the range (an offset) or above it (a lead axis)
-    @pytest.mark.parametrize("n, lo, k", [(15, 0, 15), (16, 1, 15), (16, 0, 15), (17, 2, 15), (16, 2, 14)])
+    # qubits below the range (an offset) or above it (a lead axis); one qubit
+    # has no reversal, and two qubits reverse before their second H
+    @pytest.mark.parametrize(
+        "n, lo, k",
+        [(15, 0, 15), (16, 1, 15), (16, 0, 15), (17, 2, 15), (16, 2, 14), (16, 0, 1), (16, 15, 1), (16, 3, 2)],
+    )
     def test_bitwise_equal_over_several_pieces(self, n, lo, k, rng):
         amps = random_state_vector(n, rng)
         assert_bitwise_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
@@ -298,8 +302,9 @@ class TestFusedWalker:
                     np.testing.assert_array_equal(walked(amps, lo, k), gate_ladder(amps, lo, k))
 
     def test_transient_memory_within_a_quarter_above_one_state(self):
-        # the walker's one new array is the reversed copy, and the old
-        # amplitudes are its scratch
+        # past 14 qubits a transform's one new array is the spare its calls
+        # are bound onto, the reversed copy; the old amplitudes are the
+        # pieces' scratch after it, and the bound views are small
         state = build_period_state(18, 5, 91)
         with traced_peak() as peak:
             apply_qft(state)
@@ -317,19 +322,21 @@ class TestFusedWalker:
         assert state.amplitudes is amps
         assert_bitwise_equal(amps, expect)
 
-    def test_threads_give_the_serial_bits(self, rng):
-        # every thread transforms its own state through the one program its shape binds
-        starts = [random_state_vector(11, rng) for _ in range(4)]
+    # every thread transforms its own state: at 11 qubits through the one
+    # program its shape binds, at 15 through calls bound per transform
+    @pytest.mark.parametrize("n, times", [(11, 100), (15, 10)])
+    def test_threads_give_the_serial_bits(self, n, times, rng):
+        starts = [random_state_vector(n, rng) for _ in range(4)]
         serial = []
         for amps in starts:
-            state = QuantumState(11, amps.copy())
-            for _ in range(100):
+            state = QuantumState(n, amps.copy())
+            for _ in range(times):
                 apply_qft(state)
             serial.append(state.amplitudes)
-        states = [QuantumState(11, amps.copy()) for amps in starts]
+        states = [QuantumState(n, amps.copy()) for amps in starts]
 
         def transform(state):
-            for _ in range(100):
+            for _ in range(times):
                 apply_qft(state)
 
         interval = sys.getswitchinterval()
@@ -345,6 +352,35 @@ class TestFusedWalker:
         assert not any(t.is_alive() for t in threads)
         for state, expect in zip(states, serial):
             assert_bitwise_equal(state.amplitudes, expect)
+
+    @pytest.mark.parametrize("n, q", [(16, 0), (16, 15), (18, 0), (18, 17)])
+    def test_one_qubit_on_a_wide_register_allocates_a_piece_of_scratch(self, n, q, rng):
+        # one qubit is never reversed, so its only buffer is the pieces'
+        # scratch, _PIECE amplitudes (128 KiB), not half the state
+        state = QuantumState(n, random_state_vector(n, rng))
+        expect = gate_ladder(state.amplitudes, q, 1)
+        apply_qft_on(QuantumState(n, state.amplitudes.copy()), [q])  # decodes the plan
+        with traced_peak() as peak:
+            apply_qft_on(state, [q])
+        assert peak.bytes < 256 * 1024
+        assert_bitwise_equal(state.amplitudes, expect)
+
+    def test_wide_transform_caches_no_buffer(self, rng):
+        # past 14 qubits the calls are bound per transform, so once the plan
+        # is decoded a transform keeps nothing: a program cached for the
+        # shape would hold two 1 MiB buffers
+        amps = random_state_vector(16, rng)
+        apply_qft(QuantumState(15, amps[: 1 << 15].copy()))  # warms the wide path at another width
+        qft_mod._plan.cache_clear()
+        qft_mod._plan(16)
+        try:
+            tracemalloc.start()
+            base, _ = tracemalloc.get_traced_memory()
+            apply_qft(QuantumState(16, amps.copy()))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept < 256 * 1024
 
     @pytest.mark.parametrize("n", [12, 14])
     def test_result_independent_of_callers_buffer_size(self, n, rng):
