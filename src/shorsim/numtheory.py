@@ -1,19 +1,23 @@
 """Exact integer arithmetic for the oracle and the classical post-processing.
 
-Everything here runs on plain Python integers.  Inputs are capped at 64 bits
-where correctness depends on it (the fixed Miller-Rabin witness set is only
-proven deterministic below 2**64); intermediates never overflow because
-Python integers are unbounded.
+Everything here runs on plain Python integers, except the order search's
+uint64 arrays below.  Inputs are capped at 64 bits where correctness depends
+on it (the fixed Miller-Rabin witness set is only proven deterministic below
+2**64); intermediates never overflow because Python integers are unbounded.
 
 The classical order search (``multiplicative_order``) is baby-step
-giant-step with a doubling table, about sqrt(r) steps for an order r, under a
+giant-step with a growing table, about sqrt(r) steps for an order r, under a
 stated work budget: MAX_BABY_STEPS table entries, which reach every order up
 to 2**40.  Past it, the search raises OrderSearchBudgetExceeded instead of
-running on.
+running on.  For moduli from 2**19 up to 2**32 each phase is a few numpy
+calls on uint64 arrays, where a product of two residues cannot overflow;
+other moduli take one Python step per table entry.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 U64_LIMIT = 1 << 64
 
@@ -21,8 +25,23 @@ U64_LIMIT = 1 << 64
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Work budget of multiplicative_order: at most this many baby-step table
-# entries (about 110 MiB at the cap), enough for every order up to 2**40.
+# entries, enough for every order up to 2**40.  Only a modulus of 2**32 or
+# more can reach it (every smaller one has its orders below 2**32, within a
+# table of 2**16 entries); its dict then holds about 110 MiB (a 108 MiB
+# tracemalloc peak for 3 mod 2**61 - 1, whose search spends the budget in
+# about 1.5 s).
 MAX_BABY_STEPS = 1 << 20
+
+# The array phases run for moduli in [2**19, 2**32).  Below, the Python steps
+# are faster: on random moduli and on semiprimes of 2**17-2**18 a search took
+# 33-46 us against 65-70 us for one array phase, and the two tie just below
+# 2**19.  From 2**32 on, a product of two residues can overflow uint64.
+_ARRAY_MODULI = range(1 << 19, 1 << 32)
+
+# First array table: one phase of 1024 entries reaches every order up to
+# 2**20.  Starting at 256 took 1.6x the time on the classical benchmark's
+# moduli (orders 600k-680k), which then need a second phase.
+_FIRST_ARRAY_TABLE = 1 << 10
 
 
 class OrderSearchBudgetExceeded(RuntimeError):
@@ -69,20 +88,84 @@ def mod_pow(a: int, e: int, m: int) -> int:
     return pow(int(a), int(e), int(m))
 
 
+def _powers(base: int, first: int, count: int, n: int) -> np.ndarray:
+    """first * base**k for k < count, each a uint64 product of two residues mod n.
+
+    The outer product of two Python power lists of about sqrt(count) entries
+    each; the caller reduces it mod n.
+    """
+    w = math.isqrt(count - 1) + 1
+    low = [1]
+    for _ in range(w - 1):
+        low.append(low[-1] * base % n)
+    step = low[-1] * base % n  # base**w
+    high = [first]
+    for _ in range((count - 1) // w):
+        high.append(high[-1] * step % n)
+    return np.multiply.outer(np.array(high, np.uint64), np.array(low, np.uint64)).ravel()[:count]
+
+
+def _order_up_to_square(a: int, n: int, m: int) -> int | None:
+    """The order of a mod n if it is at most m*m, else None (n < 2**32).
+
+    One baby-step giant-step phase on uint64 arrays: baby steps a**j for
+    j < m and giant steps a**((i+1)*m) for i < m, each packed as
+    ``value << b | index`` with giant indices offset by m, and sorted once.
+    Among equal values the babies sort first, so an adjacent (baby j, giant
+    i) pair gives a**((i+1)*m - j) == 1 with j the largest such baby, and
+    the least such i gives the least exponent.  That is the order: every
+    smaller positive exponent lies in an earlier giant's window.
+    """
+    stride = pow(a, m, n)
+    packed = np.concatenate((_powers(a, 1, m, n), _powers(stride, stride, m, n)))
+    packed %= n
+    b = (2 * m - 1).bit_length()
+    packed <<= b
+    packed |= np.arange(2 * m, dtype=np.uint64)
+    packed.sort()
+    same = np.flatnonzero((packed[1:] ^ packed[:-1]) < (1 << b))  # equal values
+    mask = (1 << b) - 1
+    left = packed[same] & mask
+    right = packed[same + 1] & mask  # giant i has index m + i
+    hit = (left < m) & (right >= m)
+    if not hit.any():
+        return None
+    k = np.argmin(np.where(hit, right, 2 * m))
+    return (int(right[k]) - m + 1) * m - int(left[k])
+
+
+def _budget_spent(a: int, n: int, covered: int) -> OrderSearchBudgetExceeded:
+    return OrderSearchBudgetExceeded(
+        f"order of {a} mod {n} exceeds {covered}: the order search budget of "
+        f"{MAX_BABY_STEPS} baby steps is spent"
+    )
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Least r >= 1 with a**r == 1 mod n, by baby-step giant-step.
 
-    Baby steps walk acc = a**j for j < m, return j as soon as acc == 1 (so a
-    small order costs the plain linear walk) and store a**j -> j.  Giant steps
-    g = a**(i*m) then look g up: a hit at j gives r = i*m - j.  Baby values
-    are distinct below the order, so step i covers ((i-1)*m, i*m] once and the
-    first hit is the least r.  When the giant walk passes m*m without a hit,
-    m doubles (from 16) and both walks continue where they stopped (Shanks'
-    method with a growing table, after Terr, Math. Comp. 69, 2000), so an
-    order r costs about sqrt(r) steps.  The table is capped at
-    MAX_BABY_STEPS entries, which covers every order up to MAX_BABY_STEPS**2;
-    a larger order raises OrderSearchBudgetExceeded.
+    Arguments are coerced to ``int`` first, so numpy integers are accepted
+    without overflowing.  Every phase has a table of m baby steps a**j,
+    j < m, and giant steps g = a**(i*m); a giant that equals a baby a**j
+    gives a**(i*m - j) == 1, so a table of m entries covers every order up
+    to m*m (Shanks' method with a growing table, after Terr, Math. Comp.
+    69, 2000).  An order r costs about sqrt(r) steps.
+
+    For moduli in [2**19, 2**32), each phase is ``_order_up_to_square`` on
+    uint64 arrays, with tables of 1024 entries and then 4 times as many
+    (each phase redoes its table, so the tables grow fast).  Other moduli
+    walk Python integers: baby steps return j as soon as a**j == 1 (so a
+    small order costs the plain linear walk) and store a**j -> j in a dict;
+    giant steps look g up, and a hit at j gives r = i*m - j.  Baby values
+    are distinct below the order, so step i covers ((i-1)*m, i*m] once and
+    the first hit is the least r.  When the giant walk passes m*m without a
+    hit, m doubles (from 16) and both walks continue where they stopped.
+
+    Either way the table is capped at MAX_BABY_STEPS entries, which covers
+    every order up to MAX_BABY_STEPS**2; a larger order raises
+    OrderSearchBudgetExceeded.
     """
+    a, n = int(a), int(n)
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if gcd(a, n) != 1:
@@ -90,6 +173,13 @@ def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1  # every residue is 1 mod 1
     a %= n
+    if n in _ARRAY_MODULI:
+        m = min(_FIRST_ARRAY_TABLE, MAX_BABY_STEPS)
+        while (r := _order_up_to_square(a, n, m)) is None:
+            if m >= MAX_BABY_STEPS:
+                raise _budget_spent(a, n, m * m)
+            m = min(4 * m, MAX_BABY_STEPS)
+        return r
     table = {1: 0}  # a**j -> j for every baby step so far
     acc = 1  # a**(len(table) - 1)
     g, covered = 1, 0  # g == a**covered; no order <= covered
@@ -109,10 +199,7 @@ def multiplicative_order(a: int, n: int) -> int:
                 return covered - hit
         m *= 2
         if m > MAX_BABY_STEPS:
-            raise OrderSearchBudgetExceeded(
-                f"order of {a} mod {n} exceeds {covered}: the order search budget of "
-                f"{MAX_BABY_STEPS} baby steps is spent"
-            )
+            raise _budget_spent(a, n, covered)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,49 @@ from shorsim import (
 from shorsim import numtheory
 from shorsim.numtheory import U64_LIMIT
 
+from conftest import traced_peak
+
 # The eight classical benchmark moduli (11-bit x 12-bit primes, orders
-# 600k-680k) and a 40-bit semiprime whose orders reach 1.7e11.
+# 600k-680k) and a 40-bit semiprime whose orders reach 1.7e11; moduli on
+# both sides of 2**32, where the order search leaves its uint64 arrays (mod
+# 2**33 - 9 about 40% of residue products pass 2**64, mod 2**32 + 15 almost
+# none); and moduli where the order of 2 or 3 (named after each) is an array
+# table size m (1024, 4096, 65536), or m*m - 1, m*m, m*m + 1 for m = 1024 and
+# m*m - 1, m*m for m = 4096.
 LARGE_ORDER_MODULI = (
     1193 * 4049, 1321 * 3067, 1459 * 2713, 1597 * 2539,
     1741 * 3671, 1753 * 2239, 1759 * 2137, 1901 * 3371,
     1000003 * 1000033,
+    2**31 - 1, 2**32 - 5, 2**32 + 15, 2**33 - 9,
+    2424833,  # order of 2: 2**10
+    790529,  # order of 3: 2**12
+    786433,  # order of 3: 2**16
+    9901 * 2543,  # order of 3: 2**20 - 1
+    13631489,  # order of 3: 2**20
+    100663393,  # order of 2: 2**20 + 1
+    71 * 1917397,  # order of 3: 2**24 - 1
+    167772161,  # order of 2: 2**24
+)
+
+# (a, n, r): r is the order of a mod n, built as g**((n - 1) / r) for a prime
+# n = 1 mod r.  Each r is an array table size m, or m*m - 1, m*m or m*m + 1,
+# for every m that an order below 2**32 can need.  No modulus below 2**32 has
+# an order 2**28 + 1 = 17 * 15790321: no prime below 2**32 is 1 mod 2**28 + 1,
+# and the least prime 1 mod 15790321, 442128989, times any factor that brings
+# in 17 (103 at least) is past 2**32.
+BOUNDARY_ORDERS = (
+    (513496, 525313, 2**10),
+    (310570, 557057, 2**12),
+    (446794, 557057, 2**14),
+    (346395, 786433, 2**16),
+    (2401, 4194301, 2**20 - 1),
+    (2187, 7340033, 2**20),
+    (256, 8388617, 2**20 + 1),
+    (4826809, 100663291, 2**24 - 1),
+    (59049, 167772161, 2**24),
+    (67108802, 503316511, 2**24 + 1),
+    (531441, 3221225461, 2**28 - 1),
+    (244140625, 3221225473, 2**28),
 )
 
 
@@ -47,6 +84,13 @@ def prime_factors(r):
                 r //= p
         p += 1
     return primes + [r] if r > 1 else primes
+
+
+def assert_certified_order(a, n, r):
+    """r is the order of a mod n: a**r == 1, and a**(r/p) != 1 for each prime p | r."""
+    assert pow(a, r, n) == 1
+    for p in prime_factors(r):
+        assert pow(a, r // p, n) != 1, f"order of {a} mod {n} divides {r // p}"
 
 
 def naive_mod_pow(a, e, m):
@@ -158,10 +202,29 @@ class TestMultiplicativeOrder:
     @pytest.mark.parametrize("n", LARGE_ORDER_MODULI)
     def test_large_orders_are_certified(self, n):
         for a in (2, 3):
-            r = multiplicative_order(a, n)
-            assert pow(a, r, n) == 1
-            for p in prime_factors(r):
-                assert pow(a, r // p, n) != 1, f"order of {a} mod {n} divides {r // p}"
+            assert_certified_order(a, n, multiplicative_order(a, n))
+
+    @pytest.mark.parametrize("a, n, r", BOUNDARY_ORDERS)
+    def test_orders_on_table_boundaries(self, a, n, r):
+        assert_certified_order(a, n, r)
+        assert multiplicative_order(a, n) == r
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1 << 12, (1 << 32) - 1), st.integers(2, (1 << 32) - 1))
+    def test_orders_below_2_to_32_are_certified(self, n, a):
+        assume(math.gcd(a, n) == 1)
+        assert_certified_order(a, n, multiplicative_order(a, n))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_numpy_integer_arguments(self, dtype):
+        # a * a overflows 64 bits: the search must run on Python integers
+        assert multiplicative_order(dtype(167887065652), dtype(1099511640001)) == 1000
+
+    def test_array_search_peak_under_4_mib(self):
+        multiplicative_order(7, 2**31 - 1)  # warm-up
+        with traced_peak() as peak:
+            assert multiplicative_order(7, 2**31 - 1) == 2**31 - 2
+        assert peak.bytes < 4 << 20, f"{peak.bytes / 2**20:.2f} MiB"
 
     def test_budget_bounds_the_order_search(self, monkeypatch):
         # a table of 64 entries reaches every order up to 64**2 = 4096
