@@ -9,11 +9,12 @@ The classical order search (``multiplicative_order``) is baby-step
 giant-step with a growing table, about sqrt(r) steps for an order r, under a
 stated work budget: MAX_BABY_STEPS table entries, which reach every order up
 to 2**40.  Past it, the search raises OrderSearchBudgetExceeded instead of
-running on.  For moduli from 2**19 up to 2**32 each phase is a few numpy
-calls on uint64 arrays, where a product of two residues cannot overflow;
-other moduli take one Python step per table entry.
+running on.  For moduli from 2**19 up to 2**32, where a product of two
+residues fits in uint64, a phase is one broadcast product, one sort and one
+reduction of numpy arrays; other moduli take one Python step per table entry.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,13 +33,13 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # about 1.5 s).
 MAX_BABY_STEPS = 1 << 20
 
-# The array phases run for moduli in [2**19, 2**32).  Below, the Python steps
-# are faster: on random moduli and on semiprimes of 2**17-2**18 a search took
-# 33-46 us against 65-70 us for one array phase, and the two tie just below
-# 2**19.  From 2**32 on, a product of two residues can overflow uint64.
+# The array phases run for moduli in [2**19, 2**32).  Below, neither path wins
+# throughout: on [2**17, 2**19) the arrays led on semiprimes (medians 56-83 us
+# against 91-125 us) but not on random moduli (54-84 us against 35-109 us).
+# From 2**32 on, a product of two residues can overflow uint64.
 _ARRAY_MODULI = range(1 << 19, 1 << 32)
 
-# First array table: one phase of 1024 entries reaches every order up to
+# First array table: one phase of 1024 entries reaches every order below
 # 2**20.  Starting at 256 took 1.6x the time on the classical benchmark's
 # moduli (orders 600k-680k), which then need a second phase.
 _FIRST_ARRAY_TABLE = 1 << 10
@@ -88,50 +89,51 @@ def mod_pow(a: int, e: int, m: int) -> int:
     return pow(int(a), int(e), int(m))
 
 
-def _powers(base: int, first: int, count: int, n: int) -> np.ndarray:
-    """first * base**k for k < count, each a uint64 product of two residues mod n.
-
-    The outer product of two Python power lists of about sqrt(count) entries
-    each; the caller reduces it mod n.
-    """
-    w = math.isqrt(count - 1) + 1
-    low = [1]
-    for _ in range(w - 1):
-        low.append(low[-1] * base % n)
-    step = low[-1] * base % n  # base**w
-    high = [first]
-    for _ in range((count - 1) // w):
-        high.append(high[-1] * step % n)
-    return np.multiply.outer(np.array(high, np.uint64), np.array(low, np.uint64)).ravel()[:count]
+@functools.cache
+def _exponent_fields(m: int) -> np.ndarray:
+    """e - 1 for each exponent e of a phase's table: babies 1..m, then giants 2m, 3m, ..., m*m."""
+    e = np.arange(1, m + 1, dtype=np.uint64)
+    return np.concatenate((e, m * e[1:])) - 1
 
 
-def _order_up_to_square(a: int, n: int, m: int) -> int | None:
-    """The order of a mod n if it is at most m*m, else None (n < 2**32).
+def _order_below_square(a: int, n: int, m: int) -> int | None:
+    """The order of a mod n if it is below m*m, else None (n < 2**32, m <= 2**16).
 
-    One baby-step giant-step phase on uint64 arrays: baby steps a**j for
-    j < m and giant steps a**((i+1)*m) for i < m, each packed as
-    ``value << b | index`` with giant indices offset by m, and sorted once.
-    Among equal values the babies sort first, so an adjacent (baby j, giant
-    i) pair gives a**((i+1)*m - j) == 1 with j the largest such baby, and
-    the least such i gives the least exponent.  That is the order: every
-    smaller positive exponent lies in an earlier giant's window.
+    One baby-step giant-step phase on uint64 arrays: babies a**e for e = 1..m
+    and giants a**e for e = 2m, 3m, ..., m*m, packed as ``value << b | e - 1``
+    (at most 32 + 32 bits) and sorted once.  Equal values give a**gap == 1, so
+    every gap between them is a multiple of the order r; each r below m*m is
+    the gap of two entries, which are then sorted neighbours (a third exponent
+    between them would split r into smaller multiples of r).  So the order is
+    the least gap between equal neighbours, and a larger r leaves none equal.
+    Both tables are one broadcast product of four power lists of w =
+    ceil(sqrt(m)) entries: a**(1 + w*h) a**l (babies), a**(2m + w*m*h) a**(m*l).
     """
     stride = pow(a, m, n)
-    packed = np.concatenate((_powers(a, 1, m, n), _powers(stride, stride, m, n)))
+    w = math.isqrt(m - 1) + 1
+    step_a, step_s = pow(a, w, n), pow(stride, w, n)
+    x, y, u, v = 1, 1, a, stride * stride % n
+    la, ls, ha, hs = [x], [y], [u], [v]
+    for _ in range(w - 1):
+        x = x * a % n
+        y = y * stride % n
+        u = u * step_a % n
+        v = v * step_s % n
+        la.append(x)
+        ls.append(y)
+        ha.append(u)
+        hs.append(v)
+    high = np.array(ha + hs, np.uint64).reshape(2, w, 1)
+    low = np.array(la + ls, np.uint64).reshape(2, 1, w)
+    packed = (high * low).reshape(2, w * w)[:, :m].reshape(-1)[:-1]  # drop giant a**(m*m + m)
     packed %= n
-    b = (2 * m - 1).bit_length()
+    b = (m * m - 1).bit_length()
     packed <<= b
-    packed |= np.arange(2 * m, dtype=np.uint64)
+    packed |= _exponent_fields(m)
     packed.sort()
-    same = np.flatnonzero((packed[1:] ^ packed[:-1]) < (1 << b))  # equal values
-    mask = (1 << b) - 1
-    left = packed[same] & mask
-    right = packed[same + 1] & mask  # giant i has index m + i
-    hit = (left < m) & (right >= m)
-    if not hit.any():
-        return None
-    k = np.argmin(np.where(hit, right, 2 * m))
-    return (int(right[k]) - m + 1) * m - int(left[k])
+    same = (packed[1:] ^ packed[:-1]) < (1 << b)  # equal values
+    r = int(np.minimum.reduce(packed[1:] - packed[:-1], where=same, initial=m * m))
+    return r if r < m * m else None
 
 
 def _budget_spent(a: int, n: int, covered: int) -> OrderSearchBudgetExceeded:
@@ -145,25 +147,26 @@ def multiplicative_order(a: int, n: int) -> int:
     """Least r >= 1 with a**r == 1 mod n, by baby-step giant-step.
 
     Arguments are coerced to ``int`` first, so numpy integers are accepted
-    without overflowing.  Every phase has a table of m baby steps a**j,
-    j < m, and giant steps g = a**(i*m); a giant that equals a baby a**j
-    gives a**(i*m - j) == 1, so a table of m entries covers every order up
-    to m*m (Shanks' method with a growing table, after Terr, Math. Comp.
-    69, 2000).  An order r costs about sqrt(r) steps.
+    without overflowing.  Every phase has a table of m baby steps a**j and
+    giant steps a**(i*m); a giant that equals a baby a**j gives
+    a**(i*m - j) == 1, so a table of m entries covers the orders up to about
+    m*m (Shanks' method with a growing table, after Terr, Math. Comp. 69,
+    2000).  An order r costs about sqrt(r) steps.
 
-    For moduli in [2**19, 2**32), each phase is ``_order_up_to_square`` on
-    uint64 arrays, with tables of 1024 entries and then 4 times as many
-    (each phase redoes its table, so the tables grow fast).  Other moduli
-    walk Python integers: baby steps return j as soon as a**j == 1 (so a
-    small order costs the plain linear walk) and store a**j -> j in a dict;
-    giant steps look g up, and a hit at j gives r = i*m - j.  Baby values
-    are distinct below the order, so step i covers ((i-1)*m, i*m] once and
-    the first hit is the least r.  When the giant walk passes m*m without a
-    hit, m doubles (from 16) and both walks continue where they stopped.
+    For moduli in [2**19, 2**32), each phase is ``_order_below_square``,
+    one sort of uint64 arrays that finds every order below m*m, with tables
+    of 1024 entries and then 4 times as many (each phase redoes its table).
+    Other moduli walk Python integers: baby steps return j as soon as
+    a**j == 1 (so a small order costs the plain linear walk) and store
+    a**j -> j in a dict; a giant step to g = a**c that hits j gives
+    r = c - j.  Baby values are distinct below the order, so each giant step
+    covers (c - m, c] once and the first hit is the least r.  When the giant
+    walk reaches m*m without a hit, m doubles (from 16) and both walks
+    continue where they stopped.
 
     Either way the table is capped at MAX_BABY_STEPS entries, which covers
-    every order up to MAX_BABY_STEPS**2; a larger order raises
-    OrderSearchBudgetExceeded.
+    every order below MAX_BABY_STEPS**2; when a table of that size misses,
+    OrderSearchBudgetExceeded is raised.
     """
     a, n = int(a), int(n)
     if n < 1:
@@ -174,16 +177,17 @@ def multiplicative_order(a: int, n: int) -> int:
         return 1  # every residue is 1 mod 1
     a %= n
     if n in _ARRAY_MODULI:
+        # Every order is below n < 2**32 = (2**16)**2, so m stays within 2**16.
         m = min(_FIRST_ARRAY_TABLE, MAX_BABY_STEPS)
-        while (r := _order_up_to_square(a, n, m)) is None:
+        while (r := _order_below_square(a, n, m)) is None:
             if m >= MAX_BABY_STEPS:
-                raise _budget_spent(a, n, m * m)
+                raise _budget_spent(a, n, m * m - 1)
             m = min(4 * m, MAX_BABY_STEPS)
         return r
     table = {1: 0}  # a**j -> j for every baby step so far
     acc = 1  # a**(len(table) - 1)
     g, covered = 1, 0  # g == a**covered; no order <= covered
-    m = 16
+    m = min(16, MAX_BABY_STEPS)
     while True:
         for j in range(len(table), m):
             acc = acc * a % n
@@ -191,15 +195,15 @@ def multiplicative_order(a: int, n: int) -> int:
                 return j
             table[acc] = j
         stride = acc * a % n  # a**m
-        # covered is a multiple of m below m*m, so this walk takes at least one step.
-        for covered in range(covered + m, m * m + 1, m):
+        # covered < m*m: at least one step, up to the first covered >= m*m.
+        for covered in range(covered + m, m * m + m, m):
             g = g * stride % n
             hit = table.get(g)
             if hit is not None:
                 return covered - hit
-        m *= 2
-        if m > MAX_BABY_STEPS:
+        if m >= MAX_BABY_STEPS:
             raise _budget_spent(a, n, covered)
+        m = min(2 * m, MAX_BABY_STEPS)
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,9 @@ STATUS_LUCKY_GCD = "lucky-gcd"
 
 MODES = ("full", "hybrid", "classical")
 
-# Cap on attempts per call.  Every attempt's record stays in the transcript, and
-# a forced base that fails repeats its attempt every run: a classical record
-# costs about 19 us and 208 B, so a call stays near 0.2 s and 2 MB.
+# Cap on attempts per call.  Every attempt's record stays in the transcript; a
+# forced base that fails repeats its attempt every run, which in classical mode
+# costs one record (3-6 us, 208 B: the order is computed once per call).
 MAX_RUNS = 10_000
 
 
@@ -244,12 +244,13 @@ def run_once_hybrid(
     return _recover(RunRecord(a=a, n=in_w, y=y, mode="hybrid"), n_to_factor)
 
 
-def run_once_classical(n_to_factor: int, a: int) -> RunRecord:
-    """No simulation: the directly computed order enters the post-processing.
+def run_once_classical(n_to_factor: int, a: int, r: int | None = None) -> RunRecord:
+    """No simulation: the order ``r``, computed if not given, enters the post-processing.
 
     ``multiplicative_order`` rejects a base sharing a factor with ``n_to_factor``.
     """
-    r = multiplicative_order(a, n_to_factor)
+    if r is None:
+        r = multiplicative_order(a, n_to_factor)
     return RunRecord(a=a, n=None, candidate_r=r, status=STATUS_PERIOD_FOUND, mode="classical")
 
 
@@ -262,7 +263,10 @@ def _perfect_power_root(n: int) -> int | None:
     for e in _PRIME_EXPONENTS:
         if e > n.bit_length():
             break
-        root = round(n ** (1.0 / e))
+        x = n ** (1.0 / e)
+        root = round(x)
+        if abs(x - root) > 0.01:  # a perfect power's float root errs by about 1e-5 at most
+            continue
         for b in (root - 1, root, root + 1):
             if b >= 2 and b**e == n:
                 return b
@@ -304,6 +308,7 @@ def run_shor(config: ShorConfig) -> FactoringResult:
     gate_estimate = 0
     a = config.base  # None: draw a fresh base for the next run
     pooled = 1  # lcm of the pooled denominators of the current base
+    orders = {}  # classical mode: base -> order, computed once per call
 
     for _ in range(config.max_runs):
         if a is None:
@@ -328,7 +333,8 @@ def run_shor(config: ShorConfig) -> FactoringResult:
                 n, a, rng, n=config.n_override, max_qubits=config.max_qubits
             )
         else:
-            record = run_once_classical(n, a)
+            record = run_once_classical(n, a, orders.get(a))
+            orders[a] = record.candidate_r
         if record.n is not None:
             gate_estimate += qft_circuit(record.n).gate_count
         runs.append(record)

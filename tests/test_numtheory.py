@@ -66,6 +66,20 @@ BOUNDARY_ORDERS = (
     (244140625, 3221225473, 2**28),
 )
 
+# (a, n, r): small orders in moduli near 2**31, where the sorted array table
+# is mostly equal neighbours: -1 and a cube root of unity mod 2**31 - 1, and
+# r = m - 1, m, m + 1 for the array table sizes m = 1024 and 4096.
+SMALL_ORDERS = (
+    (2**31 - 2, 2**31 - 1, 2),
+    (1513477735, 2**31 - 1, 3),
+    (1301839473, 2147491831, 1023),
+    (2050100896, 2147493889, 1024),
+    (1132461845, 2147487751, 1025),
+    (202951825, 2147524471, 4095),
+    (2143697989, 2147565569, 4096),
+    (1259856773, 2147557267, 4097),
+)
+
 
 def brute_force_order(a, n):
     acc, r = a % n, 1
@@ -209,6 +223,11 @@ class TestMultiplicativeOrder:
         assert_certified_order(a, n, r)
         assert multiplicative_order(a, n) == r
 
+    @pytest.mark.parametrize("a, n, r", SMALL_ORDERS)
+    def test_small_orders_in_large_moduli(self, a, n, r):
+        assert_certified_order(a, n, r)
+        assert multiplicative_order(a, n) == r
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1 << 12, (1 << 32) - 1), st.integers(2, (1 << 32) - 1))
     def test_orders_below_2_to_32_are_certified(self, n, a):
@@ -233,6 +252,14 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(2, 15) == 4
         with pytest.raises(OrderSearchBudgetExceeded, match="budget of 64 baby steps"):
             multiplicative_order(2, 4099)  # order 4098
+
+    def test_budget_need_not_be_a_power_of_two(self, monkeypatch):
+        # the tables grow 16, 32, 48, and the last one covers every order up to 48**2
+        monkeypatch.setattr(numtheory, "MAX_BABY_STEPS", 48)
+        assert_certified_order(9, 4001, 2000)
+        assert multiplicative_order(9, 4001) == 2000
+        with pytest.raises(OrderSearchBudgetExceeded, match="budget of 48 baby steps"):
+            multiplicative_order(2, 4099)  # order 4098 > 48**2
 
 
 class TestConvergents:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shorsim.shor as shor_mod
@@ -31,6 +31,20 @@ from conftest import assert_bitwise_equal, traced_peak
 
 # Frozen driver seeds: each factors its modulus through the quantum path.
 DOCUMENTED_SEEDS = {15: 0, 21: 1, 35: 1}
+
+
+def at_largest_roots(test):
+    """Examples b**e - 1, b**e and b**e + 1 with b the largest root of b**e < 2**64,
+    for each prime exponent e: the float root of n is least accurate there."""
+    for e in shor_mod._PRIME_EXPONENTS:
+        b = int(2 ** (64 / e))
+        while b**e >= 1 << 64:
+            b -= 1
+        while (b + 1) ** e < 1 << 64:
+            b += 1
+        for shift in (-1, 0, 1):
+            test = example((b, e), shift)(test)
+    return test
 
 
 def exact_y_distribution(n_to_factor: int, a: int) -> np.ndarray:
@@ -337,6 +351,7 @@ class TestRunShor:
         assert run_shor(ShorConfig(121)).factors == (11, 11)
 
     @settings(max_examples=300, deadline=None)
+    @at_largest_roots
     @given(
         st.integers(2, 63).flatmap(
             lambda e: st.tuples(st.integers(2, max(2, (1 << 64 // e) - 1)), st.just(e))
@@ -376,6 +391,18 @@ class TestRunShor:
         assert ShorConfig(15, max_runs=MAX_RUNS).max_runs == MAX_RUNS
         with pytest.raises(ValueError, match="max_runs"):
             ShorConfig(15, max_runs=MAX_RUNS + 1)
+
+    def test_classical_forced_base_computes_its_order_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, n):
+            calls.append(a)
+            return multiplicative_order(a, n)
+
+        monkeypatch.setattr(shor_mod, "multiplicative_order", counted)
+        result = run_shor(ShorConfig(15, base=14, mode="classical", max_runs=4))
+        assert [rec.status for rec in result.runs] == ["trivial-root"] * 4
+        assert calls == [14]
 
     def test_forced_bad_base_exhausts_runs(self):
         # 14 = -1 mod 15: order 2 with a trivial square root, every time
