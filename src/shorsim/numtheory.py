@@ -9,9 +9,10 @@ The classical order search (``multiplicative_order``) is baby-step
 giant-step with a growing table, about sqrt(r) steps for an order r, under a
 stated work budget: MAX_BABY_STEPS table entries, which reach every order up
 to 2**40.  Past it, the search raises OrderSearchBudgetExceeded instead of
-running on.  For moduli from 2**19 up to 2**32, where a product of two
-residues fits in uint64, a phase is one broadcast product, one sort and one
-reduction of numpy arrays; other moduli take one Python step per table entry.
+running on.  For moduli from 2**18 up to 2**32, where a product of two
+residues fits in uint64, it finds the odd part of the order, each phase one
+broadcast product, one sort and one reduction of numpy arrays, then doubles
+it back; other moduli take one Python step per table entry.
 """
 
 import functools
@@ -33,16 +34,16 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # about 1.5 s).
 MAX_BABY_STEPS = 1 << 20
 
-# The array phases run for moduli in [2**19, 2**32).  Below, neither path wins
-# throughout: on [2**17, 2**19) the arrays led on semiprimes (medians 56-83 us
-# against 91-125 us) but not on random moduli (54-84 us against 35-109 us).
-# From 2**32 on, a product of two residues can overflow uint64.
-_ARRAY_MODULI = range(1 << 19, 1 << 32)
+# The array search runs for moduli in [2**18, 2**32).  On [2**18, 2**19) it led
+# the dict search in every median of two runs of 50 (a, n) per kind: random moduli
+# 49-50 us against 79-81 us, semiprimes 49 us against 82-88 us; on [2**17, 2**18)
+# the dict led one median of four.  From 2**32 on, residue products overflow uint64.
+_ARRAY_MODULI = range(1 << 18, 1 << 32)
 
-# First array table: one phase of 1024 entries reaches every order below
-# 2**20.  Starting at 256 took 1.6x the time on the classical benchmark's
-# moduli (orders 600k-680k), which then need a second phase.
-_FIRST_ARRAY_TABLE = 1 << 10
+# First array table: 512 entries reach every odd part below 2**18, the classical
+# benchmark's (38k-169k) included.  On its first 64 inputs, against 1024 entries
+# on the whole order, 512 took 0.71x the time, 256 1.34x (two phases), 1024 1.00x.
+_FIRST_ARRAY_TABLE = 1 << 9
 
 
 class OrderSearchBudgetExceeded(RuntimeError):
@@ -97,16 +98,17 @@ def _exponent_fields(m: int) -> np.ndarray:
 
 
 def _order_below_square(a: int, n: int, m: int) -> int | None:
-    """The order of a mod n if it is below m*m, else None (n < 2**32, m <= 2**16).
+    """The order of a mod n if it is below top, else None (n < 2**32, m <= 2**16).
 
-    One baby-step giant-step phase on uint64 arrays: babies a**e for e = 1..m
-    and giants a**e for e = 2m, 3m, ..., m*m, packed as ``value << b | e - 1``
-    (at most 32 + 32 bits) and sorted once.  Equal values give a**gap == 1, so
-    every gap between them is a multiple of the order r; each r below m*m is
-    the gap of two entries, which are then sorted neighbours (a third exponent
-    between them would split r into smaller multiples of r).  So the order is
-    the least gap between equal neighbours, and a larger r leaves none equal.
-    Both tables are one broadcast product of four power lists of w =
+    One baby-step giant-step phase on uint64 arrays: babies a**e, e = 1..m, and
+    giants a**e, e = 2m, 3m, ..., top = m * min(m, 2**31 // m) (2**31 is past
+    every odd order mod n), packed as ``value << b | e - 1`` with b the bits of
+    2*top - 1 and sorted once.  Equal values give a**gap == 1, so every gap
+    between them is a multiple of the order r; each r below top is the gap of
+    two entries, which are then sorted neighbours (a third exponent between
+    them would split r into smaller multiples of r).  Unequal neighbours
+    differ by more than top, so the least difference is the order if below
+    top.  Both tables are one broadcast product of four power lists of w =
     ceil(sqrt(m)) entries: a**(1 + w*h) a**l (babies), a**(2m + w*m*h) a**(m*l).
     """
     stride = pow(a, m, n)
@@ -125,15 +127,15 @@ def _order_below_square(a: int, n: int, m: int) -> int | None:
         hs.append(v)
     high = np.array(ha + hs, np.uint64).reshape(2, w, 1)
     low = np.array(la + ls, np.uint64).reshape(2, 1, w)
-    packed = (high * low).reshape(2, w * w)[:, :m].reshape(-1)[:-1]  # drop giant a**(m*m + m)
+    top = m * min(m, (1 << 31) // m)
+    packed = (high * low).reshape(2, w * w)[:, :m].reshape(-1)[: m - 1 + top // m]
     packed %= n
-    b = (m * m - 1).bit_length()
+    b = (2 * top - 1).bit_length()
     packed <<= b
-    packed |= _exponent_fields(m)
+    packed |= _exponent_fields(m)[: packed.size]
     packed.sort()
-    same = (packed[1:] ^ packed[:-1]) < (1 << b)  # equal values
-    r = int(np.minimum.reduce(packed[1:] - packed[:-1], where=same, initial=m * m))
-    return r if r < m * m else None
+    r = int((packed[1:] - packed[:-1]).min())
+    return r if r < top else None
 
 
 def _budget_spent(a: int, n: int, covered: int) -> OrderSearchBudgetExceeded:
@@ -153,9 +155,12 @@ def multiplicative_order(a: int, n: int) -> int:
     m*m (Shanks' method with a growing table, after Terr, Math. Comp. 69,
     2000).  An order r costs about sqrt(r) steps.
 
-    For moduli in [2**19, 2**32), each phase is ``_order_below_square``,
-    one sort of uint64 arrays that finds every order below m*m, with tables
-    of 1024 entries and then 4 times as many (each phase redoes its table).
+    For moduli in [2**18, 2**32), b = a**(2**k) with 2**k >= n > r has the
+    odd part of r as its order (that of a**c is r / gcd(r, c)).  Its phases
+    are ``_order_below_square``, one sort of uint64 arrays each that finds
+    every order below its top (m*m, at most 2**31), on tables of 512 entries,
+    then 4 times as many up to 2**16.  a**(odd part) has the order r / (odd
+    part), a power of 2: each squaring until 1 doubles the odd part.
     Other moduli walk Python integers: baby steps return j as soon as
     a**j == 1 (so a small order costs the plain linear walk) and store
     a**j -> j in a dict; a giant step to g = a**c that hits j gives
@@ -165,7 +170,8 @@ def multiplicative_order(a: int, n: int) -> int:
     continue where they stopped.
 
     Either way the table is capped at MAX_BABY_STEPS entries, which covers
-    every order below MAX_BABY_STEPS**2; when a table of that size misses,
+    every order below MAX_BABY_STEPS**2, or on the array path every odd part
+    below the last phase's top; when a table of that size misses,
     OrderSearchBudgetExceeded is raised.
     """
     a, n = int(a), int(n)
@@ -177,13 +183,19 @@ def multiplicative_order(a: int, n: int) -> int:
         return 1  # every residue is 1 mod 1
     a %= n
     if n in _ARRAY_MODULI:
-        # Every order is below n < 2**32 = (2**16)**2, so m stays within 2**16.
+        b = pow(a, 1 << n.bit_length(), n)  # order: that of a, every factor 2 removed
+        # odd parts are below n / 2 < 2**31, which a table of 2**16 entries reaches
         m = min(_FIRST_ARRAY_TABLE, MAX_BABY_STEPS)
-        while (r := _order_below_square(a, n, m)) is None:
+        while (r := 1 if b == 1 else _order_below_square(b, n, m)) is None:
             if m >= MAX_BABY_STEPS:
-                raise _budget_spent(a, n, m * m - 1)
-            m = min(4 * m, MAX_BABY_STEPS)
-        return r
+                raise _budget_spent(a, n, m * min(m, (1 << 31) // m) - 1)
+            m = min(4 * m, 1 << 16, MAX_BABY_STEPS)
+        g = pow(a, r, n)  # its order is the power of 2 that r lacks
+        for _ in range(n.bit_length()):
+            if g == 1:
+                return r
+            g, r = g * g % n, 2 * r
+        raise AssertionError(f"unreachable: {a} mod {n} has no order {r} / 2**k")
     table = {1: 0}  # a**j -> j for every baby step so far
     acc = 1  # a**(len(table) - 1)
     g, covered = 1, 0  # g == a**covered; no order <= covered

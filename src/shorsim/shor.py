@@ -223,19 +223,20 @@ def run_once_hybrid(
     a: int,
     rng: np.random.Generator,
     *,
+    r: int | None = None,
     n: int | None = None,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> RunRecord:
     """Period-finding attempt on a directly built collapsed input register.
 
-    The order and a random offset stand in for oracle + output measurement; the Fourier
-    transform, measurement and recovery run exactly as in full mode, at input-register
-    width only.  ``multiplicative_order`` rejects a base sharing a factor with ``n_to_factor``.
+    The order ``r`` (computed if not given) and a random offset stand in for the oracle and
+    the output measurement; the transform, measurement and recovery run as in full mode, at
+    input-register width only.  ``multiplicative_order`` rejects a base sharing a factor.
     An order of at least ``2**in_w`` gives every input its own f value, so the register
     collapses to one basis state, uniform below ``2**in_w``: the period ``2**in_w`` does that.
     """
     in_w, _ = _widths(n_to_factor, n)
-    r = min(multiplicative_order(a, n_to_factor), 1 << in_w)
+    r = min(r or multiplicative_order(a, n_to_factor), 1 << in_w)
     x0 = int(rng.integers(0, r))
     state = build_period_state(in_w, x0, r, max_qubits=max_qubits)
     apply_qft_on(state, range(in_w))
@@ -308,7 +309,7 @@ def run_shor(config: ShorConfig) -> FactoringResult:
     gate_estimate = 0
     a = config.base  # None: draw a fresh base for the next run
     pooled = 1  # lcm of the pooled denominators of the current base
-    orders = {}  # classical mode: base -> order, computed once per call
+    orders = {}  # classical and hybrid modes: base -> order, computed once per call
 
     for _ in range(config.max_runs):
         if a is None:
@@ -329,8 +330,10 @@ def run_shor(config: ShorConfig) -> FactoringResult:
             )
             gate_estimate += record.n + 1  # the Hadamard layer and the oracle, one permutation
         elif mode == "hybrid":
+            if a not in orders:
+                orders[a] = multiplicative_order(a, n)
             record = run_once_hybrid(
-                n, a, rng, n=config.n_override, max_qubits=config.max_qubits
+                n, a, rng, r=orders[a], n=config.n_override, max_qubits=config.max_qubits
             )
         else:
             record = run_once_classical(n, a, orders.get(a))

@@ -27,9 +27,10 @@ from conftest import traced_peak
 # 600k-680k) and a 40-bit semiprime whose orders reach 1.7e11; moduli on
 # both sides of 2**32, where the order search leaves its uint64 arrays (mod
 # 2**33 - 9 about 40% of residue products pass 2**64, mod 2**32 + 15 almost
-# none); and moduli where the order of 2 or 3 (named after each) is an array
-# table size m (1024, 4096, 65536), or m*m - 1, m*m, m*m + 1 for m = 1024 and
-# m*m - 1, m*m for m = 4096.
+# none); and moduli where the order of 2 or 3 (named after each) is 1024, 4096
+# or 65536, or m*m - 1, m*m, m*m + 1 for m = 1024 and m*m - 1, m*m for m = 4096.
+# Of these, only 2 and 3 mod 2**32 - 5 (odd part 2147483645, past 2**30) reach
+# the array table of 2**16 entries.
 LARGE_ORDER_MODULI = (
     1193 * 4049, 1321 * 3067, 1459 * 2713, 1597 * 2539,
     1741 * 3671, 1753 * 2239, 1759 * 2137, 1901 * 3371,
@@ -46,11 +47,16 @@ LARGE_ORDER_MODULI = (
 )
 
 # (a, n, r): r is the order of a mod n, built as g**((n - 1) / r) for a prime
-# n = 1 mod r.  Each r is an array table size m, or m*m - 1, m*m or m*m + 1,
-# for every m that an order below 2**32 can need.  No modulus below 2**32 has
-# an order 2**28 + 1 = 17 * 15790321: no prime below 2**32 is 1 mod 2**28 + 1,
+# n = 1 mod r.  Each r is a power of 2 from 2**10 to 2**28, or a neighbour of
+# one; the array search finds these from their odd part alone.  The odd orders
+# after them are m*m - 1 and m*m + 1 for the array tables m = 512, 2048, 8192,
+# 32768, which the search runs on as they are.  No modulus below 2**32 has an
+# order 2**28 + 1 = 17 * 15790321: no prime below 2**32 is 1 mod 2**28 + 1,
 # and the least prime 1 mod 15790321, 442128989, times any factor that brings
-# in 17 (103 at least) is past 2**32.
+# in 17 (103 at least) is past 2**32.  Nor has any an odd order 2**30 + 1: it
+# would need lambda(n) >= 2**31 + 2, which below 2**32 only a prime n could
+# give, and 2**31 + 3 = 83 * 1277 * 20261.  An odd order m*m - 1 or m*m + 1
+# for m = 2**16 is past every n / 2.
 BOUNDARY_ORDERS = (
     (513496, 525313, 2**10),
     (310570, 557057, 2**12),
@@ -64,11 +70,19 @@ BOUNDARY_ORDERS = (
     (67108802, 503316511, 2**24 + 1),
     (531441, 3221225461, 2**28 - 1),
     (244140625, 3221225473, 2**28),
+    (16, 1048573, 2**18 - 1),
+    (64, 1572871, 2**18 + 1),
+    (625, 16777213, 2**22 - 1),
+    (262144, 75497491, 2**22 + 1),
+    (531441, 805306357, 2**26 - 1),
+    (1073674744, 2818572331, 2**26 + 1),
+    (49, 2**31 - 1, 2**30 - 1),
 )
 
 # (a, n, r): small orders in moduli near 2**31, where the sorted array table
 # is mostly equal neighbours: -1 and a cube root of unity mod 2**31 - 1, and
-# r = m - 1, m, m + 1 for the array table sizes m = 1024 and 4096.
+# r = m - 1, m, m + 1 for m = 1024 and 4096; then orders of odd part 7 and 3
+# times 2**20 and 2**30, each of whose factors 2 the search doubles back.
 SMALL_ORDERS = (
     (2**31 - 2, 2**31 - 1, 2),
     (1513477735, 2**31 - 1, 3),
@@ -78,6 +92,8 @@ SMALL_ORDERS = (
     (202951825, 2147524471, 4095),
     (2143697989, 2147565569, 4096),
     (1259856773, 2147557267, 4097),
+    (3, 7340033, 7 * 2**20),
+    (5, 3221225473, 3 * 2**30),
 )
 
 

@@ -404,6 +404,19 @@ class TestRunShor:
         assert [rec.status for rec in result.runs] == ["trivial-root"] * 4
         assert calls == [14]
 
+    def test_hybrid_forced_base_computes_its_order_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, n):
+            calls.append(a)
+            return multiplicative_order(a, n)
+
+        monkeypatch.setattr(shor_mod, "multiplicative_order", counted)
+        # 142 = -1 mod 143: order 2, which never splits 143
+        result = run_shor(ShorConfig(143, base=142, mode="hybrid", max_runs=4))
+        assert result.factors is None and len(result.runs) == 4
+        assert calls == [142]
+
     def test_forced_bad_base_exhausts_runs(self):
         # 14 = -1 mod 15: order 2 with a trivial square root, every time
         result = run_shor(ShorConfig(15, base=14, mode="classical", max_runs=4))
