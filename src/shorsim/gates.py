@@ -3,8 +3,8 @@
 Gates are immutable values: the matrix is validated as unitary once, at
 construction, and frozen.  The application kernel in :mod:`shorsim.state`
 trusts that check and never re-validates; it only looks at which entries are
-zero, to move and scale slices for gates with one nonzero per row.  The
-constant gates (identity, X, H, SWAP) are built once per process and shared.
+0 or 1, to skip zero terms and copy rows without a product.  The constant
+gates (identity, X, H, SWAP) are built once per process and shared.
 """
 
 from functools import cache

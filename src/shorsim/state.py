@@ -9,11 +9,10 @@ Gates and sub-register measurements address qubits one way, with no index
 tables: basic indexing of a reshaped view, such as the ``(2,)*n`` array whose
 axis ``n-1-q`` holds qubit ``q``.  Gate application mutates the state in place
 and returns it, so calls chain.  Single-qubit, controlled and two-qubit gates
-all run through one kernel.  A dense gate runs in pieces of at most
-``_PIECE`` amplitudes per strided view, on contiguous scratch of a few pieces
-allocated per call, so its operands stay in L2 and it never holds a state-size
-temporary; a gate with one nonzero per matrix row (X, CNOT, CCNOT, PHASE,
-CPHASE, SWAP) only moves and scales whole views.
+all run through one kernel, in pieces of at most ``_PIECE`` amplitudes per
+strided view on per-call scratch, so operands stay in L2 and no state-size
+temporary is held.  Rows sum only nonzero terms and rows that keep their part
+are not touched: X, CNOT, CCNOT and SWAP only copy, PHASE and CPHASE scale.
 Measurement draws a single uniform variate from an injected
 ``numpy.random.Generator`` and maps it through ``sample_indices``, the inverse
 CDF of the (marginal) probability array; a fixed seed therefore reproduces a
@@ -51,20 +50,20 @@ _PIECE = 2**13
 
 @lru_cache(maxsize=1024)
 def _layout(n: int, targets: tuple, controls: frozenset):
-    """How ``_apply`` cuts an n-qubit register for a dense gate on these qubits.
+    """How ``_apply`` cuts an n-qubit register for a gate on these qubits.
 
     The ``2**r`` amplitudes below the lowest fixed (control or target) qubit,
     at most ``_PIECE``, run contiguously: the register is viewed as runs of
     that many, one void element each, and then cut at every fixed qubit and at
     the top of a piece, so a stretch of free qubits is one axis.  Returns the
     run dtype, that view's shape, the index ``picks[s]`` of each part (controls
-    1, targets spelling ``s``), the sizes of a part's ``lead`` axes, which are
-    looped, the shape of a ``piece`` (its trailing axes, at most ``_PIECE``
-    amplitudes) and whether runs are gathered: numpy walks a view one
-    contiguous run at a time, so runs of 2 to ``_PIECE // 2`` amplitudes are
-    copied into contiguous scratch first; single amplitudes make one strided
-    loop, and a run that fills a piece is contiguous already.  Cached: worked
-    out on every call, it made an 8-qubit U2 take 1.2-1.4x the time.
+    1, targets spelling ``s``), the index ranges of a part's ``lead`` axes,
+    which are looped, the shape of a ``piece`` (its trailing axes, at most
+    ``_PIECE`` amplitudes) and whether runs are gathered: numpy walks a view
+    one contiguous run at a time, so runs of 2 to ``_PIECE // 2`` amplitudes
+    are copied into contiguous scratch first; single amplitudes make one
+    strided loop, and a run that fills a piece is contiguous already.  Cached:
+    worked out on every call, it made an 8-qubit U2 take 1.2-1.4x the time.
     """
     fixed = sorted((*controls, *targets))
     bits = _PIECE.bit_length() - 1
@@ -86,9 +85,35 @@ def _layout(n: int, targets: tuple, controls: frozenset):
             index[axis[t]] = (s >> i) & 1
         picks.append(tuple(index))
     free = [(lo, size) for lo, size in zip(cuts[1:], shape) if lo not in fixed]
-    lead = tuple(size for lo, size in free if lo >= b)
+    lead = tuple(range(size) for lo, size in free if lo >= b)
     piece = tuple(size for lo, size in free if lo < b) + (1,)
     return np.dtype(f"V{16 << r}"), (*shape, 1), tuple(picks), lead, piece, bool(r and e)
+
+
+@lru_cache(maxsize=1024)
+def _terms(matrix: bytes, dim: int):
+    """How ``_apply`` writes the rows of the ``dim x dim`` matrix with these bytes.
+
+    ``written`` lists the rows that change, first those whose one nonzero is a
+    1 in column ``copied[i]``, then those summing the nonzero ``(coef, slot)``
+    terms ``summed[i]`` in column order, a slot indexing the sorted columns
+    ``reads``.  Cached: decoded per call, it made an X, CNOT or CCNOT at 3-9
+    qubits take 1.6-1.8x the time.
+    """
+    m = np.frombuffer(matrix, dtype=np.complex128).reshape(dim, dim).tolist()
+    cols = range(dim)
+    if all(map(all, m)):  # no zeros: skips a scan that takes twice as long
+        return cols, [], [list(zip(row, cols)) for row in m], cols
+    copies, sums = [], []
+    for s, row in enumerate(m):
+        terms = [(coef, j) for coef, j in zip(row, cols) if coef]
+        if len(terms) > 1 or terms[0][0] != 1:
+            sums.append((s, terms))
+        elif terms[0][1] != s:
+            copies.append((s, terms[0][1]))
+    reads = sorted({j for _, terms in sums for _, j in terms})
+    summed = [[(coef, reads.index(j)) for coef, j in terms] for _, terms in sums]
+    return [s for s, _ in copies + sums], [j for _, j in copies], summed, reads
 
 
 def _check_width(n: int, max_qubits: int) -> None:
@@ -240,27 +265,18 @@ class QuantumState:
 
         Bit ``i`` of the matrix row/column index is qubit ``targets[i]``.
         Fixing the controls to 1 and the targets to each bit pattern ``s`` by
-        basic indexing gives ``2**k`` strided views, the parts, and row ``s``
-        is written back as ``m[s,0]*part[0] + m[s,1]*part[1] + ...``.
-
-        A dense matrix works on the view ``_layout`` cuts, a piece of every
-        part at a time: at most ``_PIECE`` amplitudes each, so a piece's
-        operands stay in L2 at any register width.  Runs of 2 to
-        ``_PIECE // 2`` amplitudes are first copied into contiguous scratch.
-        Each row is evaluated as ``np.multiply(m[s,0], part[0], out=acc)``
-        and then, per further column, ``np.multiply(coef, part, out=tmp)`` and
-        ``np.add(acc, tmp, out=acc)``: the formula's operations in its order,
-        scalar first.  The accumulators are then copied back.  The scratch,
-        at most ``2 * 2**k + 1`` rows of a piece (1.125 MiB for a 4x4
-        matrix), is allocated per call and does not grow with the register.
-
-        A monomial matrix (one nonzero per row: X, CNOT, CCNOT, PHASE, CPHASE,
-        SWAP) moves and scales whole ``(2,)*n`` views instead, with no pieces:
-        it reads and writes each amplitude once, so pieces would only add
-        copies.  The scale is applied scalar-first, ``np.multiply(coef, part,
-        out=part)``, the operand order of the dense formula, so both paths give
-        bitwise equal amplitudes, up to the sign of an exact zero that a moved
-        slice gets where the formula adds ``0 * x``.
+        basic indexing gives ``2**k`` strided views, the parts, cut by
+        ``_layout`` into pieces of at most ``_PIECE`` amplitudes that stay in
+        L2.  Per piece, each row ``s`` that ``_terms`` writes is worked out in
+        scratch, never in place (numpy rounds a one-element in-place product
+        differently): a copy of one part, or ``m[s,0]*part[0] + ...`` over the
+        nonzero terms, ``np.multiply(coef, part, out=acc)`` and then
+        ``np.multiply(coef, part, out=tmp)``, ``np.add(acc, tmp, out=acc)``,
+        scalar first, from contiguous copies of parts in runs of 2 to
+        ``_PIECE // 2`` amplitudes.  That is the formula bitwise for a matrix
+        without zeros, and up to the sign of an exact zero otherwise.  The
+        scratch, at most ``2 * 2**k + 1`` rows of a piece (1.125 MiB for a 4x4
+        matrix), does not grow with the register.
         """
         for t in targets:
             if t in controls:
@@ -270,51 +286,34 @@ class QuantumState:
         for q in (*controls, *targets):
             self._check_qubit(q)
 
-        n, dim = self.num_qubits, len(matrix)
-        # A unitary has a nonzero in every row, so len(matrix) nonzeros means
-        # exactly one per row.  numpy rounds a one-element in-place product
-        # differently, so a gate on every qubit of the register stays dense.
-        _, cols = np.nonzero(matrix)
-        if len(cols) == dim and n > len(targets) + len(controls):
-            view = self.amplitudes.reshape((2,) * n)
-            index = [slice(None)] * n
-            for c in controls:
-                index[n - 1 - c] = 1
-            parts = []
-            for s in range(dim):
-                for i, t in enumerate(targets):
-                    index[n - 1 - t] = (s >> i) & 1
-                parts.append(view[(*index, ...)])
-            sources = {c: parts[c].copy() for s, c in enumerate(cols) if c != s}
-            for s, c in enumerate(cols):
-                if c != s:
-                    parts[s][...] = sources[c]
-                if matrix[s, c] != 1:
-                    np.multiply(matrix[s, c], parts[s], out=parts[s])
-            return self
-        run, shape, picks, lead, piece, gather = _layout(n, targets, controls)
+        run, shape, picks, lead, piece, gather = _layout(self.num_qubits, targets, controls)
+        written, copied, summed, reads = _terms(matrix.tobytes(), len(matrix))
         runs = self.amplitudes.view(run).reshape(shape)
         parts = [runs[pick] for pick in picks]
-        # scratch rows: dim accumulators, the product, dim gathered parts
-        rows = np.empty((dim + 1 + gather * dim, *piece), dtype=run)
-        scratch = rows.view(np.complex128)
-        tmp = scratch[dim]
-        for hi in product(*map(range, lead)):
+        # scratch rows: the written rows, copies first, the product, gathered columns
+        k = len(written)
+        rows = np.empty((k + 1 + gather * len(reads), *piece), dtype=run)
+        if summed:
+            scratch = rows.view(np.complex128)
+            sums, tmp, x = scratch[len(copied) : k], scratch[k], list(scratch[k + 1 :])
+        for hi in product(*lead):
             pieces = [part[hi] for part in parts]
-            if gather:
-                for row, p in zip(rows[dim + 1 :], pieces):
-                    np.copyto(row, p)
-                x = scratch[dim + 1 :]
-            else:
-                x = [p.view(np.complex128) for p in pieces]
-            for s in range(dim):
-                acc = scratch[s]
-                np.multiply(matrix[s, 0], x[0], out=acc)
-                for j in range(1, dim):
-                    np.multiply(matrix[s, j], x[j], out=tmp)
-                    np.add(acc, tmp, out=acc)
-            for row, p in zip(rows, pieces):
-                np.copyto(p, row)
+            for j, row in zip(copied, rows):
+                row[...] = pieces[j]
+            if summed:
+                if gather:
+                    for j, row in zip(reads, rows[k + 1 :]):
+                        row[...] = pieces[j]
+                else:
+                    x = [pieces[j].view(np.complex128) for j in reads]
+                for terms, acc in zip(summed, sums):
+                    (coef, i), *rest = terms
+                    np.multiply(coef, x[i], out=acc)
+                    for coef, i in rest:
+                        np.multiply(coef, x[i], out=tmp)
+                        np.add(acc, tmp, out=acc)
+            for s, row in zip(written, rows):
+                pieces[s][...] = row
         return self
 
     def apply_single(self, gate: Gate2, target: int) -> "QuantumState":

@@ -7,10 +7,12 @@ kernels cannot cancel against the same error in the check.  Qubit ``q`` is
 bit ``q`` of the basis index, so the Kronecker factor for qubit ``n-1`` comes
 first.  The QFT is checked against both ``dft_reference`` and ``numpy.fft``.
 
-Each gate test draws dense random unitaries and monomial ones (a permutation
-times unit phases), which the kernel applies by moving and scaling slices; a
-bitwise test pins both paths, the dense one also over several pieces, to the
-row formula.
+Each gate test draws dense random unitaries, monomial ones (a permutation
+times unit phases, like X, CNOT, PHASE and SWAP) and dense ones with exact
+zeros.  The kernel skips zero terms and copies a row that takes one part
+unscaled, so a bitwise test pins all three, in one piece and over several, to
+the row formula: exactly for a gate without zeros, up to the sign of an exact
+zero for the others.
 """
 
 import numpy as np
@@ -49,8 +51,19 @@ def random_monomial(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m
 
 
-# dense gates take the kernel's general path, monomial gates its slice path
-matrices = st.sampled_from([random_unitary, random_monomial])
+def random_with_zeros(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A unitary with exact zeros that is not monomial: dense on the high bit, monomial on the low.
+
+    A 2x2 unitary with a zero is monomial, so at ``dim == 2`` this is ``random_monomial``.
+    """
+    if dim == 2:
+        return random_monomial(2, rng)
+    return np.kron(random_unitary(2, rng), random_monomial(2, rng))
+
+
+# the kernel sums every column of a dense row, copies or scales a monomial
+# one and sums the nonzero columns of a row with zeros
+matrices = st.sampled_from([random_unitary, random_monomial, random_with_zeros])
 
 
 def dense_single(n: int, u: np.ndarray, target: int) -> np.ndarray:
@@ -146,6 +159,11 @@ def row_formula(amps, m, targets, controls) -> np.ndarray:
     return out
 
 
+def assert_equal_up_to_zero_signs(got, expect):
+    # -0.0 == 0.0, so only the sign of an exact zero may differ
+    assert np.array_equal(got.view(np.float64), expect.view(np.float64))
+
+
 def apply_gate(state, m, targets, controls):
     if len(targets) == 2:
         return state.apply_two_qubit(Gate4(m), *targets)
@@ -157,10 +175,10 @@ def apply_gate(state, m, targets, controls):
 @SETTINGS
 @given(st.data(), matrices, seeds)
 def test_gates_equal_the_row_formula_bitwise(data, make, seed):
-    # Dense gates run in pieces, monomial ones move and scale slices; both must
-    # round exactly like the row formula (numpy's complex product is not
-    # symmetric in its operands).  A dense gate keeps the formula's signed
-    # zeros too; a moved slice skips the formula's exact 0*x terms.
+    # Every gate must round exactly like the row formula (numpy's complex
+    # product is not symmetric in its operands).  A gate without zeros keeps
+    # the formula's signed zeros too; the kernel skips the formula's exact 0*x
+    # terms and its products by 1, which only the sign of a zero can show.
     rng = np.random.default_rng(seed)
     kind = data.draw(st.sampled_from(["single", "controlled", "two_qubit"]))
     if kind == "two_qubit":
@@ -178,11 +196,11 @@ def test_gates_equal_the_row_formula_bitwise(data, make, seed):
     if make is random_unitary:
         assert_bitwise_equal(got, expect)
     else:
-        assert np.array_equal(got.view(np.float64), expect.view(np.float64))
+        assert_equal_up_to_zero_signs(got, expect)
 
 
-# (n, targets, controls) of dense gates whose parts span several pieces of
-# 2**13 amplitudes, each run as the comment says
+# (n, targets, controls) of gates whose parts span several pieces of 2**13
+# amplitudes, each run as the comment says
 MULTI_PIECE = [
     pytest.param(15, [0], [], id="U2-target-0"),  # single amplitudes, read strided
     pytest.param(16, [8], [], id="U2-target-8"),  # runs of 256, gathered
@@ -199,13 +217,17 @@ MULTI_PIECE = [
 @pytest.mark.parametrize("n, targets, controls", MULTI_PIECE)
 def test_multi_piece_gates_equal_the_row_formula_bitwise(n, targets, controls):
     _, _, _, lead, _, _ = _layout(n, tuple(targets), frozenset(controls))
-    assert np.prod(lead) > 1
+    assert np.prod([len(axis) for axis in lead]) > 1
     rng = np.random.default_rng(n + sum(targets))
     m = random_unitary(1 << len(targets), rng)
     amps = random_state_vector(n, rng)
     amps[::5] = complex(0.0, -0.0)
     state = apply_gate(state_from(amps), m, targets, controls)
     assert_bitwise_equal(state.amplitudes, row_formula(amps, m, targets, controls))
+    for make in (random_monomial, random_with_zeros):
+        m = make(1 << len(targets), rng)
+        got = apply_gate(state_from(amps), m, targets, controls).amplitudes
+        assert_equal_up_to_zero_signs(got, row_formula(amps, m, targets, controls))
 
 
 def test_two_qubit_reference_order_is_not_symmetric():

@@ -209,18 +209,26 @@ class TestApplyTwoQubit:
 
 
 @pytest.mark.parametrize("n", [16, 18])
-@pytest.mark.parametrize("targets", [(1,), (1, 2)], ids=["U2", "U4"])
-def test_dense_gate_scratch_does_not_grow_with_width(n, targets, rng):
-    # runs of two amplitudes are gathered: a U4 holds 9 scratch rows of 2**13
-    # amplitudes, 1.125 MiB at any width; whole-part temporaries peaked at
-    # 1.4-1.6 MiB at 16 qubits and 5.1-6.1 MiB at 18
+@pytest.mark.parametrize("gate", ["U2", "U4", "X", "CNOT", "SWAP", "CCNOT"])
+def test_dense_gate_scratch_does_not_grow_with_width(n, gate, rng):
+    # Every gate runs in pieces of 2**13 amplitudes.  Runs of two amplitudes
+    # are gathered: a U4 holds 9 scratch rows, 1.125 MiB at any width, where
+    # whole-part temporaries peaked at 1.4-1.6 MiB at 16 qubits and 5.1-6.1
+    # MiB at 18.  X, CNOT, SWAP and CCNOT copy two rows through 3 scratch
+    # rows, 0.375 MiB, where copying whole parts peaked at 0.25-1 MiB at 16
+    # qubits and 1-4 MiB at 18.
     s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
-    if len(targets) == 1:
-        gate, apply = Gate2(random_unitary(2, rng)), s.apply_single
-    else:
-        gate, apply = Gate4(random_unitary(4, rng)), s.apply_two_qubit
+    x = not_gate()
+    apply, args = {
+        "U2": (s.apply_single, (Gate2(random_unitary(2, rng)), 1)),
+        "U4": (s.apply_two_qubit, (Gate4(random_unitary(4, rng)), 1, 2)),
+        "X": (s.apply_single, (x, 0)),
+        "CNOT": (s.apply_controlled, (x, {0}, 15)),
+        "SWAP": (s.apply_two_qubit, (swap_gate(), 2, 13)),
+        "CCNOT": (s.apply_controlled, (x, {0, 7}, 15)),
+    }[gate]
     with traced_peak() as peak:
-        apply(gate, *targets)
+        apply(*args)
     assert peak.bytes <= 1.2 * 2**20
 
 
