@@ -25,6 +25,9 @@ U64_LIMIT = 1 << 64
 
 # Deterministic Miller-Rabin witnesses for every n < 3.3e24 (covers all u64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first four alone suffice below 3215031751, the least strong pseudoprime
+# to all of 2, 3, 5 and 7 (Jaeschke, Math. Comp. 61, 1993).
+_MR_FOUR_WITNESS_LIMIT = 3215031751
 
 # Work budget of multiplicative_order: at most this many baby-step table
 # entries, enough for every order up to 2**40.  Only a modulus of 2**32 or
@@ -320,7 +323,7 @@ def recover_period(y: int, m: int, n: int, a: int) -> PeriodCandidate | None:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for all inputs below 2**64."""
+    """Deterministic Miller-Rabin for all inputs below 2**64 (four witnesses below 3215031751)."""
     if n >= U64_LIMIT:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
     if n < 2:
@@ -335,7 +338,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w in _MR_WITNESSES[:4] if n < _MR_FOUR_WITNESS_LIMIT else _MR_WITNESSES:
         v = mod_pow(w, d, n)
         if v == 1 or v == n - 1:
             continue

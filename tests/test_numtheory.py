@@ -368,19 +368,30 @@ class TestPrimality:
         assert not is_probable_prime(1)
         assert not is_probable_prime(0)
 
-    def test_matches_trial_division_up_to_2000(self):
-        def trial(n):
-            if n < 2:
-                return False
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    return False
-                d += 1
-            return True
+    def test_matches_trial_division_below_2_to_17(self):
+        n = np.arange(1 << 17)
+        prime = n >= 2
+        for d in range(2, math.isqrt(n.size - 1) + 1):
+            prime &= (n % d != 0) | (n == d)
+        assert [is_probable_prime(int(k)) for k in n] == prime.tolist()
 
-        for n in range(2000):
-            assert is_probable_prime(n) == trial(n), n
+    @pytest.mark.parametrize("n, bases", [
+        (2047, (2,)),
+        (1373653, (2, 3)),
+        (25326001, (2, 3, 5)),
+        # the least strong pseudoprime to 2, 3, 5 and 7: only the twelve-witness test refutes it
+        (3215031751, (2, 3, 5, 7)),
+    ])
+    def test_least_strong_pseudoprimes_are_composite(self, n, bases):
+        def passes_strong_test(w):
+            d, s = n - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            v = pow(w, d, n)
+            return v in (1, n - 1) or any(pow(v, 1 << j, n) == n - 1 for j in range(1, s))
+
+        assert all(passes_strong_test(w) for w in bases)
+        assert not is_probable_prime(n)
 
     def test_large_64_bit_inputs(self):
         assert is_probable_prime(2**61 - 1)          # Mersenne prime

@@ -79,6 +79,51 @@ class TestReference:
             qft_mod._dft_matrix.cache_clear()
         assert kept < 1.25 * (16 << 20)
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_agrees_with_numpy_fft(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            amps = random_state_vector(n, rng)
+            # numpy's inverse FFT carries the exp(+2*pi*i*x*y/N) kernel and a 1/N factor
+            err = np.max(np.abs(dft_reference(amps) - np.fft.ifft(amps) * np.sqrt(1 << n)))
+            assert err <= 1e-15
+
+    def test_matrix_is_one_table_of_roots(self):
+        # entry (x, y) is bitwise the root of x*y mod 2**n, so equal angles give equal entries
+        size = 1 << 6
+        qft_mod._dft_matrix.cache_clear()
+        w = qft_mod._dft_matrix(size)
+        x = np.arange(size)
+        assert_bitwise_equal(w, w[1][np.outer(x, x) % size])
+        np.testing.assert_allclose(w[1], np.exp(2j * np.pi * x / size) / 8, rtol=0, atol=1e-17)
+
+    def test_widest_build_peaks_within_1_6_matrices(self):
+        # the 11-qubit matrix is 64 MiB; the index table beside it is a quarter of that
+        qft_mod._dft_matrix.cache_clear()
+        try:
+            with traced_peak() as peak:
+                qft_mod._dft_matrix(1 << 11)
+        finally:
+            qft_mod._dft_matrix.cache_clear()
+        assert peak.bytes <= 1.6 * (64 << 20)
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_build_evaluates_one_exponential_per_root(self, n, monkeypatch):
+        evaluated = []
+        exp = np.exp
+
+        def counted(z, *args, **kwargs):
+            evaluated.append(np.size(z))
+            return exp(z, *args, **kwargs)
+
+        qft_mod._dft_matrix.cache_clear()
+        monkeypatch.setattr(np, "exp", counted)
+        try:
+            qft_mod._dft_matrix(1 << n)
+        finally:
+            qft_mod._dft_matrix.cache_clear()
+        assert 0 < sum(evaluated) <= 1 << n
+
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(qft_mod, "_DFT_MAX_QUBITS", 3)
         np.testing.assert_allclose(dft_reference(np.eye(8)[0]), np.full(8, 8 ** -0.5), atol=1e-15)
@@ -105,7 +150,7 @@ class TestCircuit:
             amps = random_state_vector(n, rng)
             worst = max(worst, float(np.max(np.abs(run_qft(amps) - dft_reference(amps)))))
             total += 1
-        assert worst <= 1e-10
+        assert worst <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 20])
     def test_gate_count_formula(self, n):
@@ -233,7 +278,7 @@ class TestApplyOnSubset:
         joint[:8] = amps  # qubits 3, 4 in |0>
         s.amplitudes = joint.copy()
         apply_qft_on(s, [0, 1, 2])
-        np.testing.assert_allclose(s.amplitudes[:8], dft_reference(amps), atol=1e-10)
+        np.testing.assert_allclose(s.amplitudes[:8], dft_reference(amps), rtol=0, atol=1e-14)
 
     def test_non_contiguous_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):

@@ -291,9 +291,9 @@ def test_circuit_run_matches_kron_product(data, n, seed):
 def test_qft_matches_dft_reference_and_numpy_fft(n, seed):
     amps = random_state_vector(n, np.random.default_rng(seed))
     got = apply_qft(state_from(amps)).amplitudes
-    np.testing.assert_allclose(got, dft_reference(amps), atol=1e-12)
+    np.testing.assert_allclose(got, dft_reference(amps), rtol=0, atol=1e-14)
     # numpy's inverse FFT carries the exp(+2*pi*i*x*y/N) kernel and a 1/N factor
-    np.testing.assert_allclose(got, np.fft.ifft(amps) * np.sqrt(1 << n), atol=1e-12)
+    np.testing.assert_allclose(got, np.fft.ifft(amps) * np.sqrt(1 << n), rtol=0, atol=1e-14)
 
 
 @SETTINGS
