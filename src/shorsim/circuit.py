@@ -251,7 +251,58 @@ class Circuit:
 
     @classmethod
     def parse(cls, text: str) -> "Circuit":
-        return _parse(cls, text)
+        width: int | None = None
+        parsed: list[tuple[int, GateOp]] = []
+
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            toks = line.split()
+            op_name = toks[0]
+
+            if op_name == "qubits":
+                if parsed or width is not None:
+                    raise CircuitParseError(f"line {lineno}: 'qubits' header must come first")
+                if len(toks) != 2:
+                    raise CircuitParseError(f"line {lineno}: expected 'qubits <n>'")
+                width = _parse_int(toks[1], lineno)
+                if width < 0:
+                    raise CircuitParseError(f"line {lineno}: negative qubit count {width}")
+                continue
+
+            if op_name not in _LINE_FORMS:
+                raise CircuitParseError(f"line {lineno}: unknown operation {op_name!r}")
+            n_qubits, n_nums, build = _LINE_FORMS[op_name]
+            args = toks[1:]
+            if len(args) != n_qubits + n_nums:
+                plural = "s" if n_qubits != 1 else ""
+                msg = f"line {lineno}: expected {n_qubits} qubit argument{plural}"
+                if n_nums == 1:
+                    msg += " and an angle"
+                elif n_nums:
+                    msg += f" and {n_nums} matrix values"
+                raise CircuitParseError(msg)
+            qubits = [_parse_int(t, lineno) for t in args[:n_qubits]]
+            nums = [_parse_float(t, lineno) for t in args[n_qubits:]]
+
+            try:
+                op = build(*qubits, *nums)
+            except ValueError as exc:
+                raise CircuitParseError(f"line {lineno}: {exc}") from None
+            parsed.append((lineno, op))
+
+        if width is None:
+            width = 1 + max((q for _, op in parsed for q in op.qubits()), default=-1)
+            width = max(width, 0)
+
+        circuit = cls(width)
+        for lineno, op in parsed:
+            try:
+                circuit.append(op)
+            except ValueError as exc:
+                raise CircuitParseError(f"line {lineno}: {exc}") from None
+        return circuit
 
 
 def _fmt(v: float) -> str:
@@ -307,58 +358,3 @@ def _parse_float(tok: str, lineno: int) -> float:
         return float(tok)
     except ValueError:
         raise CircuitParseError(f"line {lineno}: invalid number {tok!r}") from None
-
-
-def _parse(cls, text: str):
-    width: int | None = None
-    parsed: list[tuple[int, GateOp]] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        op_name = toks[0]
-
-        if op_name == "qubits":
-            if parsed or width is not None:
-                raise CircuitParseError(f"line {lineno}: 'qubits' header must come first")
-            if len(toks) != 2:
-                raise CircuitParseError(f"line {lineno}: expected 'qubits <n>'")
-            width = _parse_int(toks[1], lineno)
-            if width < 0:
-                raise CircuitParseError(f"line {lineno}: negative qubit count {width}")
-            continue
-
-        if op_name not in _LINE_FORMS:
-            raise CircuitParseError(f"line {lineno}: unknown operation {op_name!r}")
-        n_qubits, n_nums, build = _LINE_FORMS[op_name]
-        args = toks[1:]
-        if len(args) != n_qubits + n_nums:
-            plural = "s" if n_qubits != 1 else ""
-            msg = f"line {lineno}: expected {n_qubits} qubit argument{plural}"
-            if n_nums == 1:
-                msg += " and an angle"
-            elif n_nums:
-                msg += f" and {n_nums} matrix values"
-            raise CircuitParseError(msg)
-        qubits = [_parse_int(t, lineno) for t in args[:n_qubits]]
-        nums = [_parse_float(t, lineno) for t in args[n_qubits:]]
-
-        try:
-            op = build(*qubits, *nums)
-        except ValueError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
-        parsed.append((lineno, op))
-
-    if width is None:
-        width = 1 + max((q for _, op in parsed for q in op.qubits()), default=-1)
-        width = max(width, 0)
-
-    circuit = cls(width)
-    for lineno, op in parsed:
-        try:
-            circuit.append(op)
-        except ValueError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
-    return circuit

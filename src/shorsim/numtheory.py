@@ -1,7 +1,7 @@
 """Exact integer arithmetic for the oracle and the classical post-processing.
 
 Everything here runs on plain Python integers, except the order search's
-uint64 arrays below.  Inputs are capped at 64 bits where correctness depends
+uint64 arrays.  Inputs are capped at 64 bits where correctness depends
 on it (the fixed Miller-Rabin witness set is only proven deterministic below
 2**64); intermediates never overflow because Python integers are unbounded.
 
@@ -9,10 +9,7 @@ The classical order search (``multiplicative_order``) is baby-step
 giant-step with a growing table, about sqrt(r) steps for an order r, under a
 stated work budget: MAX_BABY_STEPS table entries, which reach every order up
 to 2**40.  Past it, the search raises OrderSearchBudgetExceeded instead of
-running on.  For moduli from 2**18 up to 2**32, where a product of two
-residues fits in uint64, it finds the odd part of the order, each phase one
-broadcast product, one sort and one reduction of numpy arrays, then doubles
-it back; other moduli take one Python step per table entry.
+running on.
 """
 
 import functools
@@ -234,9 +231,6 @@ class Convergent:
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"convergent {self.p}/{self.q} is not in lowest terms")
 
-    def value(self) -> float:
-        return self.p / self.q
-
 
 def continued_fraction_convergents(num: int, den: int) -> list[Convergent]:
     """Convergents of num/den from the Euclid quotient sequence.
@@ -269,7 +263,6 @@ class PeriodCandidate:
 
     r: int
     convergent: Convergent
-    verified: bool
 
 
 def _divisors_ascending(n: int) -> list[int]:
@@ -318,7 +311,7 @@ def recover_period(y: int, m: int, n: int, a: int) -> PeriodCandidate | None:
             if c >= n:
                 break
             if mod_pow(a, c, n) == 1:
-                return PeriodCandidate(_order_from_multiple(a, c, n), conv, True)
+                return PeriodCandidate(_order_from_multiple(a, c, n), conv)
     return None
 
 

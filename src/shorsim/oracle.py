@@ -133,26 +133,6 @@ def multi_and_circuit(k: int) -> Circuit:
     return c
 
 
-def _simulated_images(cf: Circuit, x_width: int) -> list[int]:
-    """Run cf on every |x, 0> and return the image basis indices.
-
-    Raises if any image is a superposition rather than a basis state (up to
-    global phase).
-    """
-    images = []
-    for xval in range(1 << x_width):
-        out = cf.run(basis_state(cf.width, xval))
-        mags = np.abs(out.amplitudes)
-        hits = np.flatnonzero(mags > 1e-9)
-        if hits.size != 1 or abs(mags[hits[0]] - 1.0) > 1e-9:
-            raise ValueError(
-                f"circuit maps basis input {xval} to a superposition; "
-                "cannot use it as a classical computation"
-            )
-        images.append(int(hits[0]))
-    return images
-
-
 def compute_copy_uncompute(
     cf: Circuit, x_width: int, f_width: int, g_width: int
 ) -> Circuit:
@@ -173,7 +153,14 @@ def compute_copy_uncompute(
         raise ValueError(f"f_width {f_width} out of range for width {w}")
     # Exhaustive basis-state check that cf is a classical computation of the
     # stated layout (cheap at toy widths; this builder is for toy widths).
-    _simulated_images(cf, x_width)
+    for xval in range(1 << x_width):
+        mags = np.abs(cf.run(basis_state(w, xval)).amplitudes)
+        hits = np.flatnonzero(mags > 1e-9)
+        if hits.size != 1 or abs(mags[hits[0]] - 1.0) > 1e-9:
+            raise ValueError(
+                f"circuit maps basis input {xval} to a superposition; "
+                "cannot use it as a classical computation"
+            )
 
     total = w + f_width
     out = Circuit(total)

@@ -10,38 +10,10 @@ ladder with terminal qubit-reversal SWAPs (one two-qubit gate each), so
 
     gate_count(qft_circuit(n)) == n*(n+1)//2 + n//2
 
-``apply_qft_on`` runs the ops of ``qft_circuit(k)`` as a plan decoded once per
-width, each step on a 3- to 5-dimensional view, with the gate kernel's
-arithmetic in its operand order.  Half-way through the ladder it copies the
-amplitudes once with the qubit order reversed, so every op works on long
-contiguous runs and the SWAPs leave them in order; before that, a CPHASE
-controlled by one of the 8 lowest qubits multiplies the target's bit-1 half by
-a row of its coefficient and exact ones, up to 256 entries.
-
-``_bind`` alone turns the plan into ufunc calls on views of two buffers.  On a
-register of up to 14 qubits (``2 * _PIECE`` amplitudes, where every H is one
-piece) they are bound once per view shape to two cached buffers; a transform
-copies the amplitudes in, runs the calls under the program's lock and copies
-the result back, so the state keeps its array.  Each width holds the program
-of its latest shape: at most 512 KiB of buffers, 7 MiB over widths 1-14, for
-as long as ``_plan`` caches the width.  A wider register is bound per call onto
-its own array and one spare, the reversed copy and the one state-size array it
-allocates (one qubit, never reversed, gets a piece of scratch instead), and an
-H runs in pieces of at most 8192 pairs that stay in the core's L2 cache (cache
-blocking, as in Häner & Steiger, arXiv:1704.01127).  The output is bitwise
-equal to
-``qft_circuit(k).embedded(n, lo).run(state)`` except that an exact zero may
+``apply_qft_on`` runs the ladder's ops with amplitudes bitwise equal to
+``qft_circuit(k).embedded(n, lo).run(state)``, except that an exact zero may
 come out with the other sign: the butterfly subtracts where the kernel adds a
 negated product, and a product by exactly 1 can only flip the sign of a zero.
-
-The walk runs with numpy's ufunc buffer set to ``_BUFSIZE`` elements, scoped by
-``np.errstate`` so the caller's setting is restored on exit.  numpy's iterator
-copies an operand through that buffer whenever the view's contiguous run is
-shorter than about half of it; at the default 8192 elements, the walker's
-products on runs of 256-2048 amplitudes pay for that copy, not for the
-multiply, and a bound program's runs of 16-128 amplitudes would make numpy
-allocate the buffers on every call.  The buffer changes no arithmetic, so the
-amplitudes are the same.
 """
 
 import threading
@@ -56,10 +28,13 @@ from .state import _PIECE, QuantumState
 
 _SWAP = swap_gate()
 
-# ufunc buffer for the walk, in elements; 256 took 1.02-1.07x its time at
-# 8-13 qubits, where it buffers runs of 32-64 amplitudes through 12 KiB
-# allocated per call, and tied at 14-20 qubits; against 256, 1024 took
-# 1.16-1.35x the time at 11-20 qubits and 8192 1.21-1.92x
+# ufunc buffer for the walk, in elements: numpy copies an operand through it
+# when the view's contiguous run is shorter than about half of it, so at the
+# default 8192 the walk's products on short runs pay for that copy.  It
+# changes no arithmetic.  256 took 1.02-1.07x its time at 8-13 qubits, where
+# it buffers runs of 32-64 amplitudes through 12 KiB allocated per call, and
+# tied at 14-20 qubits; against 256, 1024 took 1.16-1.35x the time at 11-20
+# qubits and 8192 1.21-1.92x
 _BUFSIZE = 32
 
 # a CPHASE controlled below bit min(_ROW_BITS, target) multiplies a row of
@@ -137,8 +112,12 @@ def _plan(k: int):
     Step ``(kind, (a, mid, z), c)`` works on the amplitudes reshaped to ``(lead
     * a, *mid, z * m)``; qubit q is on bit ``pos[q]`` of the ladder index.  ``c``
     is read-only: a row, or a 0-d view, which a ufunc takes faster than a scalar.
-    A row spans the ``min(_ROW_BITS, pos[target])`` lowest bits: a plan holds
-    up to ``_ROW_BITS`` rows of at most 4 KiB per qubit in the range's top half.
+    Before the first H below qubit ``k // 2``, a ``copy`` step reverses the
+    qubit order, so every later op works on long contiguous runs and the SWAPs
+    only relabel axes.  Before that copy, a CPHASE whose control is below bit
+    ``min(_ROW_BITS, pos[target])`` multiplies a row spanning those lowest
+    bits: a plan holds up to ``_ROW_BITS`` rows of at most 4 KiB per qubit in
+    the range's top half.
     The slot, a one-item list, holds the steps bound by ``_bind`` to the
     latest view shape of at most ``2 * _PIECE`` amplitudes, or None.
     """
@@ -178,7 +157,8 @@ def _bind(steps, order, shape, cur, other):
     products and sums of the four passes below, in three calls.  A wider H
     runs its four passes in place on one piece of the ``(lead * a, 2, z * m)``
     view at a time, at most ``_PIECE`` pairs cut from a row or whole rows
-    grouped, so they reread the piece from L2, not from memory, with the first
+    grouped, so they reread the piece from L2, not from memory (cache blocking,
+    as in Häner & Steiger, arXiv:1704.01127), with the first
     ``g * w`` elements of ``other`` as scratch: until the reversal's
     ``copyto`` into it, ``other`` may be one piece long.
     """

@@ -4,10 +4,7 @@ One full-simulation run: uniform superposition on the input register, the
 modular-exponentiation XOR oracle, an optional measurement of the output
 register (on by default; skipping it provably does not change the input
 marginal), the Fourier transform on the input register, a measurement, and
-continued-fraction period recovery.  The uniform block is written straight to
-the oracle's images of |x, 0> in the zeroed joint register.  Once the output
-register is measured it is a basis state, so the transform and the last
-measurement run on the input register's own ``2**in_w`` amplitudes.
+continued-fraction period recovery.
 
 ``hybrid`` mode replaces the oracle stage with a directly constructed
 collapsed period state (the order is computed classically), which keeps the
@@ -329,15 +326,15 @@ def run_shor(config: ShorConfig) -> FactoringResult:
                 max_qubits=config.max_qubits,
             )
             gate_estimate += record.n + 1  # the Hadamard layer and the oracle, one permutation
-        elif mode == "hybrid":
+        else:
             if a not in orders:
                 orders[a] = multiplicative_order(a, n)
-            record = run_once_hybrid(
-                n, a, rng, r=orders[a], n=config.n_override, max_qubits=config.max_qubits
-            )
-        else:
-            record = run_once_classical(n, a, orders.get(a))
-            orders[a] = record.candidate_r
+            if mode == "hybrid":
+                record = run_once_hybrid(
+                    n, a, rng, r=orders[a], n=config.n_override, max_qubits=config.max_qubits
+                )
+            else:
+                record = run_once_classical(n, a, orders[a])
         if record.n is not None:
             gate_estimate += qft_circuit(record.n).gate_count
         runs.append(record)

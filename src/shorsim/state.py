@@ -5,14 +5,9 @@ Amplitudes live in one contiguous ``numpy`` array of ``complex128`` with
 is bit ``j`` of the basis index, so qubit 0 is the least-significant bit:
 ``basis_state(3, 5)`` is ``|101>`` with qubits 0 and 2 set.
 
-Gates and sub-register measurements address qubits one way, with no index
-tables: basic indexing of a reshaped view, such as the ``(2,)*n`` array whose
-axis ``n-1-q`` holds qubit ``q``.  Gate application mutates the state in place
-and returns it, so calls chain.  Single-qubit, controlled and two-qubit gates
-all run through one kernel, in pieces of at most ``_PIECE`` amplitudes per
-strided view on per-call scratch, so operands stay in L2 and no state-size
-temporary is held.  Rows sum only nonzero terms and rows that keep their part
-are not touched: X, CNOT, CCNOT and SWAP only copy, PHASE and CPHASE scale.
+Gate application mutates the state in place and returns it, so calls chain;
+``_apply`` is the one kernel behind every single-qubit, controlled and
+two-qubit gate.
 Measurement draws a single uniform variate from an injected
 ``numpy.random.Generator`` and maps it through ``sample_indices``, the inverse
 CDF of the (marginal) probability array; a fixed seed therefore reproduces a

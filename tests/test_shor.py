@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shorsim.numtheory as numtheory_mod
 import shorsim.shor as shor_mod
 from shorsim import (
     Convergent,
@@ -25,9 +26,10 @@ from shorsim import (
     run_once_hybrid,
     run_shor,
 )
-from shorsim.shor import MAX_RUNS, RunRecord, STATUS_NO_CANDIDATE
+from shorsim.shor import MAX_RUNS, RunRecord, STATUS_LUCKY_GCD, STATUS_NO_CANDIDATE
 
 from conftest import assert_bitwise_equal, traced_peak
+from exact import y_distribution
 
 # Frozen driver seeds: each factors its modulus through the quantum path.
 DOCUMENTED_SEEDS = {15: 0, 21: 1, 35: 1}
@@ -45,18 +47,6 @@ def at_largest_roots(test):
         for shift in (-1, 0, 1):
             test = example((b, e), shift)(test)
     return test
-
-
-def exact_y_distribution(n_to_factor: int, a: int) -> np.ndarray:
-    """P(y) of the input register with the output register left unmeasured."""
-    in_w = choose_register_size(n_to_factor)
-    out_w = (n_to_factor - 1).bit_length()
-    state = basis_state(in_w + out_w, 0)
-    for q in range(in_w):
-        state.apply_single(hadamard(), q)
-    state.apply_permutation(modexp_oracle(a, n_to_factor, in_w, out_w))
-    apply_qft_on(state, range(in_w))
-    return state.probabilities().reshape(1 << out_w, 1 << in_w).sum(axis=0)
 
 
 class TestRegisterSizing:
@@ -190,11 +180,11 @@ class TestRunOnceFull:
         assert [run_once_full(35, a, np.random.default_rng(a)) for a in (2, 3, 4)] == expect
 
     def test_skipping_f_measurement_leaves_marginal_unchanged(self):
-        # exact distributions, no sampling: marginal with f unmeasured equals
-        # the f-measured conditional averaged over f outcomes
+        # exact distributions, no sampling: the closed form, which is the marginal
+        # with f unmeasured, equals the f-measured conditional averaged over f outcomes
         n_to_factor, a = 15, 7
         in_w, out_w = 8, 4
-        unmeasured = exact_y_distribution(n_to_factor, a)
+        unmeasured = y_distribution(n_to_factor, a, in_w)
 
         averaged = np.zeros(1 << in_w)
         base = basis_state(in_w + out_w, 0)
@@ -269,7 +259,7 @@ class TestCollapseShape:
             if gcd(a, n_to_factor) != 1:
                 continue
             r = multiplicative_order(a, n_to_factor)
-            probs = exact_y_distribution(n_to_factor, a)
+            probs = y_distribution(n_to_factor, a, choose_register_size(n_to_factor))
             centers = {round(k * size / r) % size for k in range(r)}
             mass = sum(
                 probs[y]
@@ -512,7 +502,7 @@ def test_hybrid_uses_only_input_register_width():
 def test_measured_y_frequencies_match_exact_distribution():
     # sampled runs against the exact y distribution (law of total probability
     # over the measured f outcomes), 5-sigma bands on the four main peaks
-    exact = exact_y_distribution(15, 7)
+    exact = y_distribution(15, 7, choose_register_size(15))
     draws = 1000
     stream = np.random.default_rng(17)
     counts = np.zeros(exact.size)
@@ -522,3 +512,24 @@ def test_measured_y_frequencies_match_exact_distribution():
         sigma = np.sqrt(exact[y] * (1 - exact[y]) / draws)
         assert abs(counts[y] / draws - exact[y]) <= 5 * sigma
     assert counts.sum() == draws
+
+
+@pytest.mark.parametrize("n_to_factor", [15, 21, 33, 35, 39])
+def test_full_mode_factors_from_measurements_alone(n_to_factor, monkeypatch):
+    # what full mode does, not how it does it: no classical order search, the
+    # output register measured, and the input register at its chosen width
+    def no_order(a, n):
+        raise AssertionError(f"full mode asked for the order of {a} mod {n}")
+
+    monkeypatch.setattr(shor_mod, "multiplicative_order", no_order)
+    monkeypatch.setattr(numtheory_mod, "multiplicative_order", no_order)
+    for seed in range(20):
+        result = run_shor(ShorConfig(n_to_factor, seed=seed, mode="full"))
+        p, q = result.factors
+        assert 1 < p <= q and p * q == n_to_factor, f"seed {seed}"
+        for record in result.runs:
+            if record.status == STATUS_LUCKY_GCD:
+                continue
+            assert record.f_outcome is not None
+            assert record.n == choose_register_size(n_to_factor)
+            assert record.mode == "full"
