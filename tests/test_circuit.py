@@ -83,7 +83,7 @@ class TestRun:
         amps = random_state_vector(3, rng)
         s_joint = basis_state(3, 0)
         s_joint.amplitudes = amps.copy()
-        (c1 + c2).run(s_joint)
+        Circuit(3, c1.ops + c2.ops).run(s_joint)
         s_seq = basis_state(3, 0)
         s_seq.amplitudes = amps.copy()
         c2.run(c1.run(s_seq))

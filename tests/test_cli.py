@@ -446,6 +446,14 @@ class TestSelftest:
         assert not results[0].passed
         assert results[0].name == "period-7-transform-peaks"
 
-    def test_exit_code_logic_matches_pass_flags(self):
-        results = selftest.run_all(only=[2])
-        assert (0 if all(r.passed for r in results) else 2) == 0
+    def test_exit_code_logic_matches_pass_flags(self, monkeypatch):
+        def fixed(*flags):
+            return lambda **kwargs: [
+                selftest.CriterionResult(i, f"c{i}", passed, "", 0.0)
+                for i, passed in enumerate(flags, 1)
+            ]
+
+        monkeypatch.setattr(selftest, "run_all", fixed(True, True))
+        assert main(["selftest"]) == 0
+        monkeypatch.setattr(selftest, "run_all", fixed(True, False))
+        assert main(["selftest"]) == 2

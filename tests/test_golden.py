@@ -27,7 +27,7 @@ CASES = [
      ["qft-demo", "--n", "10", "--x0", "3", "--r", "37", "--stage", "after", "--out", OUT]),
     ("circuit-every-op-4096.csv",
      ["circuit", "run", str(GOLDEN / "every_op.circuit"), "--shots", "4096", "--out", OUT]),
-    # odd, no-candidate x2, odd, trivial, no-candidate, found: fresh bases and the pool
+    # odd, no-candidate x2, odd, trivial, no-candidate, found: fresh bases and retried ones
     ("factor-21-seed11.json", ["factor", "21", "--seed", "11", "--transcript", OUT]),
     # odd, trivial x3, no-candidate, found, at 20 qubits
     ("factor-69-seed6.json", ["factor", "69", "--seed", "6", "--transcript", OUT]),

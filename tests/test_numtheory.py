@@ -277,6 +277,14 @@ class TestMultiplicativeOrder:
         with pytest.raises(OrderSearchBudgetExceeded, match="budget of 48 baby steps"):
             multiplicative_order(2, 4099)  # order 4098 > 48**2
 
+    def test_budget_bounds_the_array_search(self, monkeypatch):
+        # 2**31 - 1 takes the array search; a first table of 512 entries reaches
+        # every odd part below 512**2, and the budget stops it from growing
+        monkeypatch.setattr(numtheory, "MAX_BABY_STEPS", 512)
+        assert multiplicative_order(2, 2**31 - 1) == 31
+        with pytest.raises(OrderSearchBudgetExceeded, match="exceeds 262143: .* budget of 512 baby steps"):
+            multiplicative_order(7, 2**31 - 1)  # odd part 2**30 - 1
+
 
 class TestConvergents:
     def test_9_over_64(self):

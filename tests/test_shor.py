@@ -293,8 +293,9 @@ class TestHybrid:
 
     def test_order_past_the_register_collapses_to_one_input(self):
         # the order of 2 mod 21 is 6 > 2**2: every input has its own f value
+        r = multiplicative_order(2, 21)
         for seed in range(30):
-            rec = run_once_hybrid(21, 2, np.random.default_rng(seed), n=2)
+            rec = run_once_hybrid(21, 2, np.random.default_rng(seed), r=r, n=2)
             assert 0 <= rec.y < 4
 
     def test_full_mode_falls_back_to_hybrid_under_cap(self):
@@ -440,12 +441,13 @@ class TestRunShor:
                 assert p * q == 33 and p > 1 and q > 1
 
     def test_classical_run_record_shape(self):
-        rec = run_once_classical(12827, 2)
+        rec = run_once_classical(12827, 2, multiplicative_order(2, 12827))
         assert rec.candidate_r == multiplicative_order(2, 12827)
         assert rec.y is None and rec.n is None
 
-    def test_cross_run_lcm_combination(self, monkeypatch):
-        # two partial runs whose denominators only jointly determine the period
+    def test_run_without_verified_order_repeats_its_base(self, monkeypatch):
+        # lcm(4, 6) is the order 12 of 2 mod 35, but unverified denominators are
+        # never combined: each run without a verified order retries its base
         assert multiplicative_order(2, 35) == 12
         fragments = [[Convergent(1, 4)], [Convergent(1, 6)]]
 
@@ -457,26 +459,10 @@ class TestRunShor:
 
         monkeypatch.setattr(shor_mod, "run_once_full", fake_run_once)
         result = run_shor(ShorConfig(35, base=2, max_runs=2))
-        assert result.factors == (5, 7)
-        assert result.runs[-1].candidate_r == 12
-        assert result.runs[-1].status == "period-found"
-
-    def test_pool_restarts_from_the_last_denominator_past_the_modulus(self, monkeypatch):
-        # lcm(5, 8) = 40 > 35 restarts the pool at 8; lcm(8, 6) = 24 is a multiple
-        # of the order 12.  Keeping 40, or restarting empty, would miss it.
-        fragments = [[Convergent(1, 5)], [Convergent(1, 8)], [Convergent(1, 6)]]
-
-        def fake_run_once(n_to_factor, a, rng, **kwargs):
-            return RunRecord(
-                a=a, n=11, y=99, convergents=list(fragments.pop(0)),
-                status=STATUS_NO_CANDIDATE,
-            )
-
-        monkeypatch.setattr(shor_mod, "run_once_full", fake_run_once)
-        result = run_shor(ShorConfig(35, base=2, max_runs=3))
-        assert result.factors == (5, 7)
-        assert [rec.status for rec in result.runs] == ["no-candidate"] * 2 + ["period-found"]
-        assert result.runs[-1].candidate_r == 12
+        assert result.factors is None
+        assert [rec.status for rec in result.runs] == ["no-candidate"] * 2
+        assert [rec.a for rec in result.runs] == [2, 2]
+        assert all(rec.candidate_r is None for rec in result.runs)
 
     def test_independent_seeds_do_not_share_state(self):
         a = run_shor(ShorConfig(35, seed=9)).runs
@@ -484,17 +470,20 @@ class TestRunShor:
         assert [(r.a, r.y, r.status) for r in a] == [(r.a, r.y, r.status) for r in b]
 
 
-@pytest.mark.parametrize("run_once", [
-    lambda: run_once_hybrid(15, 5, np.random.default_rng(0)),
-    lambda: run_once_classical(15, 5),
-], ids=["hybrid", "classical"])
-def test_shared_factor_base_rejected_off_the_full_path(run_once):
-    with pytest.raises(ValueError, match="shares a factor|not coprime"):
-        run_once()
+@pytest.mark.parametrize("mode", ["hybrid", "classical"])
+def test_shared_factor_base_rejected_off_the_full_path(mode, monkeypatch):
+    # run_shor's gcd test settles the base before any order is asked for
+    def no_order(a, n):
+        raise AssertionError("order requested for a base sharing a factor")
+
+    monkeypatch.setattr(shor_mod, "multiplicative_order", no_order)
+    result = run_shor(ShorConfig(15, base=5, mode=mode))
+    assert result.factors == (3, 5)
+    assert [rec.status for rec in result.runs] == [STATUS_LUCKY_GCD]
 
 
 def test_hybrid_uses_only_input_register_width():
-    rec = run_once_hybrid(35, 2, np.random.default_rng(0))
+    rec = run_once_hybrid(35, 2, np.random.default_rng(0), r=multiplicative_order(2, 35))
     assert rec.n == choose_register_size(35)
     assert rec.f_outcome is None
 
