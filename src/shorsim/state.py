@@ -8,10 +8,10 @@ is bit ``j`` of the basis index, so qubit 0 is the least-significant bit:
 Gate application mutates the state in place and returns it, so calls chain;
 ``_apply`` is the one kernel behind every single-qubit, controlled and
 two-qubit gate.
-Measurement draws a single uniform variate from an injected
-``numpy.random.Generator`` and maps it through ``sample_indices``, the inverse
-CDF of the (marginal) probability array; a fixed seed therefore reproduces a
-run bit for bit.
+Measurement draws one uniform variate from an injected ``numpy.random.Generator``
+and maps it through the inverse CDF of the (marginal) probability array, built
+a piece at a time up to the drawn outcome for the whole register or its top
+qubits (``_draw_top``); a fixed seed therefore reproduces a run bit for bit.
 
 States are exclusively owned while mutated.  ``probabilities`` and
 ``inner_product`` are read-only and safe to call concurrently on a shared
@@ -142,6 +142,34 @@ def draw_indices(cdf: np.ndarray, u):
     if not cdf[-1] > 0:
         raise ValueError(f"cannot sample from total weight {cdf[-1]}")
     return np.minimum(np.searchsorted(cdf, u, side="right"), np.searchsorted(cdf, cdf[-1]))
+
+
+def _draw_top(amps: np.ndarray, k: int, u: float) -> tuple[int, float]:
+    """``sample_indices`` on the top ``k`` qubits' marginal, and the outcome's mass, bitwise.
+
+    Outcome ``v`` is the block ``amps[v << (n-k) : (v+1) << (n-k)]``.  Pieces of
+    ``_WEIGHT_SLICE`` amplitudes, or one block if larger, get weights and block
+    sums in reused scratch, the running total added into the first before the
+    ``cumsum``; the walk stops at the first piece whose running sum passes ``u``.
+    """
+    block = amps.size >> k
+    w, tmp = np.empty((2, min(max(block, _WEIGHT_SLICE), amps.size)))
+    cdf = np.empty(w.size // block)
+    total = 0.0
+    for start in range(0, amps.size, w.size):
+        piece = amps[start : start + w.size]
+        np.multiply(piece.real, piece.real, out=w)
+        np.add(w, np.multiply(piece.imag, piece.imag, out=tmp), out=w)
+        sums = w if block == 1 else w.reshape(-1, block).sum(axis=1, out=tmp[: cdf.size])
+        first, sums[0] = sums[0], sums[0] + total
+        total = np.cumsum(sums, out=cdf)[-1]
+        if total > u:
+            i = int(np.searchsorted(cdf, u, side="right"))
+            return start // block + i, float(sums[i] if i else first)
+    if not total > 0:
+        raise ValueError(f"cannot sample from total weight {total}")
+    # past the rounded total: the first outcome whose running sum reaches it
+    return _draw_top(amps, k, np.nextafter(total, 0.0))
 
 
 @dataclass(slots=True)
@@ -380,13 +408,11 @@ class QuantumState:
     def measure_all(self, rng: np.random.Generator) -> MeasurementOutcome:
         """Sample a basis state with probability |a_x|^2 and collapse onto it.
 
-        Uses one uniform draw and an inverse-CDF walk, so a zero-probability
-        outcome can never be sampled.  Like every gate, the collapse mutates
-        the amplitude array in place: it is zeroed and the outcome set to 1.
+        Uses one uniform draw and ``_draw_top``'s pieced inverse-CDF walk, so a
+        zero-probability outcome can never be sampled.  Like every gate, the
+        collapse mutates the amplitude array in place: zeroed, the outcome set to 1.
         """
-        probs = self.probabilities()
-        idx = int(sample_indices(probs, rng.random()))
-        p = float(probs[idx])
+        idx, p = _draw_top(self.amplitudes, self.num_qubits, rng.random())
         self.amplitudes.fill(0.0)
         self.amplitudes[idx] = 1.0
         return MeasurementOutcome(idx, p)
@@ -397,10 +423,11 @@ class QuantumState:
         The ``(2,)*n`` view is transposed once so the measured axes lead,
         ``qubits[-1]`` first, and the rest follow in order: the index of the
         leading axes spells the outcome and the marginal is a sum over the
-        trailing ones.  The state collapses to the renormalized projection
-        onto the observed outcome: that block of the transposed view is kept,
-        divided by the exact square root of the outcome mass, and every other
-        amplitude is zeroed.
+        trailing ones; the top qubits ``n-k .. n-1`` in order are drawn by
+        ``_draw_top``, any other list through ``sample_indices``.  The state
+        collapses to the renormalized projection onto the observed outcome:
+        that block of the transposed view is kept, divided by the exact square
+        root of the outcome mass, and every other amplitude is zeroed.
         """
         qubits = [int(q) for q in qubits]
         if len(set(qubits)) != len(qubits):
@@ -411,10 +438,13 @@ class QuantumState:
         n, k = self.num_qubits, len(qubits)
         measured = [n - 1 - q for q in reversed(qubits)]
         order = measured + [ax for ax in range(n) if ax not in measured]
-        probs = self.probabilities().reshape((2,) * n).transpose(order)
-        marginal = probs.sum(axis=tuple(range(k, n))).reshape(-1)
-        outcome = int(sample_indices(marginal, rng.random()))
-        p = float(marginal[outcome])
+        if qubits == list(range(n - k, n)):
+            outcome, p = _draw_top(self.amplitudes, k, rng.random())
+        else:
+            probs = self.probabilities().reshape((2,) * n).transpose(order)
+            marginal = probs.sum(axis=tuple(range(k, n))).reshape(-1)
+            outcome = int(sample_indices(marginal, rng.random()))
+            p = float(marginal[outcome])
         view = self.amplitudes.reshape((2,) * n).transpose(order)
         block = view[(*((outcome >> i) & 1 for i in reversed(range(k))), ...)]
         kept = block / np.sqrt(p)

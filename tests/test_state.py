@@ -1,22 +1,29 @@
 """Core state-vector behavior: gate kernels, permutations, measurement."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shorsim.state as state_mod
 from shorsim import (
     BasisPermutation,
     QuantumState,
+    apply_qft_on,
     basis_state,
+    build_period_state,
     hadamard,
     identity_gate,
+    modexp_oracle,
     not_gate,
     phase_shift,
     swap_gate,
     tensor_product,
 )
 from shorsim.gates import Gate2, Gate4
+from shorsim.shor import _uniform_amplitude
 from shorsim.state import sample_indices
 
 from conftest import StubRng, assert_bitwise_equal, random_state_vector, random_unitary, traced_peak
@@ -335,17 +342,17 @@ class TestMeasureAll:
         for seed in range(20):
             assert state_from(s.amplitudes).measure_all(np.random.default_rng(seed)).value == 1
 
-    def test_collapses_in_place_within_a_tenth_above_one_state(self):
-        # the probabilities and their cumulative sum are half a state each, and
-        # the collapse allocates nothing
-        n = 18
-        s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
-        amps = s.amplitudes
-        with traced_peak() as peak:
-            out = s.measure_all(np.random.default_rng(5))
-        assert peak.bytes <= 1.1 * amps.nbytes
-        assert s.amplitudes is amps
-        np.testing.assert_array_equal(s.amplitudes, basis_state(n, out.value).amplitudes)
+    def test_collapses_in_place_with_at_most_a_mebibyte_of_scratch(self):
+        # the draw's weights, block sums and running sum are a piece each, not
+        # a state (4 and 16 MiB here), and the collapse allocates nothing
+        for n in (18, 20):
+            s = QuantumState(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
+            amps = s.amplitudes
+            with traced_peak() as peak:
+                out = s.measure_all(np.random.default_rng(5))
+            assert peak.bytes <= 1 << 20
+            assert s.amplitudes is amps
+            np.testing.assert_array_equal(s.amplitudes, basis_state(n, out.value).amplitudes)
 
 
 class TestMeasureSubregister:
@@ -532,6 +539,100 @@ class TestSamplerTail:
         assert np.all(weights[idx] > 0)
         for v in u:
             assert weights[int(sample_indices(weights, v))] > 0
+
+
+def joint_register(n_to_factor, a, in_w):
+    """Full mode's joint state after the oracle: uniform over |x, f(x)>, zero elsewhere."""
+    out_w = (n_to_factor - 1).bit_length()
+    amps = np.zeros(1 << (in_w + out_w), dtype=np.complex128)
+    amps[modexp_oracle(a, n_to_factor, in_w, out_w).table[: 1 << in_w]] = _uniform_amplitude(in_w)
+    return amps
+
+
+def seeded_random_state(n, seed):
+    return random_state_vector(n, np.random.default_rng(seed))
+
+
+def transformed_period_state(n, x0, r):
+    """Full mode's input register after the QFT, built as hybrid mode builds it."""
+    return apply_qft_on(build_period_state(n, x0, r), range(n)).amplitudes
+
+
+def assert_top_draws_are_the_reference(amps, k, scale=1.0):
+    """``measure_subregister`` of the top ``k`` qubits, and ``measure_all`` when ``k == n``,
+    bitwise ``moveaxis_measure`` at variates 0, on every few CDF values, at the total,
+    just below it and at ``LAST_DRAW``.  ``scale`` < 1 puts the total below ``LAST_DRAW``."""
+    amps = amps * scale
+    n = amps.size.bit_length() - 1
+    qubits = list(range(n - k, n))
+    weights = amps.real * amps.real + amps.imag * amps.imag
+    cdf = np.cumsum(weights.reshape(1 << k, -1).sum(axis=1))
+    if scale < 1:
+        assert cdf[-1] < LAST_DRAW
+    for u in [0.0, *cdf[:: max(1, cdf.size // 7)], cdf[-1], np.nextafter(cdf[-1], 0.0), LAST_DRAW]:
+        outcome, p, collapsed = moveaxis_measure(amps, qubits, u)
+        s = QuantumState(n, amps.copy())
+        out = s.measure_subregister(qubits, StubRng(u))
+        assert out.value == outcome
+        assert np.float64(out.probability).view(np.uint64) == np.float64(p).view(np.uint64)
+        assert_bitwise_equal(s.amplitudes, collapsed)
+        if k == n:
+            s = QuantumState(n, amps.copy())
+            out = s.measure_all(StubRng(u))
+            assert out.value == outcome
+            assert np.float64(out.probability).view(np.uint64) == np.float64(p).view(np.uint64)
+            assert_bitwise_equal(s.amplitudes, basis_state(n, outcome).amplitudes)
+
+
+@st.composite
+def top_draw_cases(draw):
+    """(amplitudes, k, scale): a random, sparse joint or transformed period state of 1-10 qubits."""
+    kind = draw(st.sampled_from(["random", "joint", "period"]))
+    if kind == "joint":
+        n_to_factor, a = draw(st.sampled_from([(15, 2), (15, 7), (15, 11), (21, 2), (21, 5)]))
+        amps = joint_register(n_to_factor, a, draw(st.integers(1, 5)))
+    elif kind == "period":
+        n = draw(st.integers(1, 10))
+        r = draw(st.integers(1, 1 << n))
+        amps = transformed_period_state(n, draw(st.integers(0, r - 1)), r)
+    else:
+        amps = seeded_random_state(draw(st.integers(1, 10)), draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, amps.size.bit_length() - 1))
+    return amps, k, draw(st.sampled_from([1.0, 0.75]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(top_draw_cases())
+def test_top_draw_across_pieces_of_eight_is_bitwise_the_reference(case):
+    # pieces of 8 amplitudes: carries cross many pieces, and blocks above 8 are a piece each
+    with patch.object(state_mod, "_WEIGHT_SLICE", 8):
+        assert_top_draws_are_the_reference(*case)
+
+
+# (state builder and its arguments, k, scale): blocks of 2**15 and up are larger than a piece
+TOP_DRAWS_15_TO_18 = [
+    ((seeded_random_state, 15, 1), 0, 1.0),
+    ((seeded_random_state, 16, 2), 1, 0.75),
+    ((seeded_random_state, 17, 3), 17, 1.0),
+    ((seeded_random_state, 18, 4), 3, 1.0),
+    ((joint_register, 15, 7, 11), 4, 1.0),
+    ((joint_register, 35, 2, 11), 6, 1.0),
+    ((joint_register, 39, 5, 11), 6, 0.75),
+    ((transformed_period_state, 17, 3, 12), 17, 1.0),
+    ((transformed_period_state, 18, 5, 77), 18, 0.75),
+    ((transformed_period_state, 18, 0, 6), 2, 1.0),
+    ((transformed_period_state, 16, 11, 40), 9, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "build,k,scale",
+    TOP_DRAWS_15_TO_18,
+    ids=[f"{b[0].__name__}{b[1:]}-k{k}-x{scale}" for b, k, scale in TOP_DRAWS_15_TO_18],
+)
+def test_top_draw_of_15_to_18_qubits_is_bitwise_the_reference(build, k, scale):
+    fn, *args = build
+    assert_top_draws_are_the_reference(fn(*args), k, scale)
 
 
 class TestInnerProduct:
