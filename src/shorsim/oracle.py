@@ -14,6 +14,7 @@ the toy builders (``multi_and_circuit``, ``compute_copy_uncompute``) instead.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,32 +53,47 @@ class ReversibleFunction:
         return out
 
 
-def _xor_image(fx: np.ndarray, in_w: int, out_w: int) -> BasisPermutation:
-    """The permutation ``x + (y << in_w) -> x + ((y ^ fx[x]) << in_w)``.
+class XorPermutation(BasisPermutation):
+    """``x + (y << in_w) -> x + ((y ^ f_table[x]) << in_w)``, from f on the ``2**in_w`` inputs.
 
-    It is a bijection exactly when every ``0 <= fx[x] < 2**out_w``, so that is
-    checked on the f-table instead of a bincount over the whole image.
+    ``_xor_image`` checks the read-only ``f_table``.  ``table`` is built on first
+    read; its first ``2**in_w`` entries, where |x, 0> goes, are ``(f_table << in_w) | x``.
     """
+
+    def __init__(self, fx: np.ndarray, out_w: int):
+        fx.setflags(write=False)
+        self.f_table, self.num_qubits = fx, fx.size.bit_length() - 1 + out_w
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        in_w = self.f_table.size.bit_length() - 1
+        # x < 2**in_w never meets the shifted bits, so one XOR pass builds the image
+        rows = np.arange(1 << (self.num_qubits - in_w), dtype=np.int64) << in_w
+        image = rows[:, None] ^ ((self.f_table << in_w) | np.arange(1 << in_w, dtype=np.int64))
+        image = image.reshape(-1)
+        image.setflags(write=False)
+        return image
+
+
+def _xor_image(fx: np.ndarray, in_w: int, out_w: int) -> XorPermutation:
+    """``XorPermutation`` of ``fx``; checking every ``0 <= fx[x] < 2**out_w`` proves it a bijection."""
     if fx.min(initial=0) < 0 or fx.max(initial=0) >= 1 << out_w:
         raise ValueError("mapping is not a bijection: value out of range")
-    # x < 2**in_w never meets the shifted bits, so one XOR pass builds the image
-    rows = np.arange(1 << out_w, dtype=np.int64) << in_w
-    image = rows[:, None] ^ ((fx << in_w) | np.arange(1 << in_w, dtype=np.int64))
-    return BasisPermutation._checked_by_caller(image.reshape(-1))
+    return XorPermutation(fx, out_w)
 
 
-def xor_oracle(f: ReversibleFunction) -> BasisPermutation:
+def xor_oracle(f: ReversibleFunction) -> XorPermutation:
     """The permutation |x, y> -> |x, y XOR f(x)> on input+output qubits.
 
     A bijection for every f, and an involution: applying it twice is the
     identity.  The image is one int64 array with row y and column x, so its
-    flat index is ``x + (y << in_w)``; one broadcast XOR builds it, with no
-    other array of its size.
+    flat index is ``x + (y << in_w)``; one broadcast XOR builds it on first
+    read, with no other array of its size.
     """
     return _xor_image(f.table(), f.input_width, f.output_width)
 
 
-def modexp_oracle(a: int, n: int, in_width: int, out_width: int) -> BasisPermutation:
+def modexp_oracle(a: int, n: int, in_width: int, out_width: int) -> XorPermutation:
     """XOR oracle of f(x) = a**x mod n.
 
     The table of a**x mod n for x < 2**in_width is built by doubling,

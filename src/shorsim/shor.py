@@ -179,8 +179,8 @@ def run_once_full(
 
     ``modexp_oracle`` rejects a base sharing a factor with ``n_to_factor``, before the state exists.
     With ``measure_f`` the joint state is the only state-size array it allocates: only the
-    images of |x, 0> (the first ``2**in_w`` table entries) carry amplitude, so writing the
-    uniform block there is ``apply_permutation`` bit for bit, and the rest is freed first.
+    images of |x, 0>, ``(f_table << in_w) | x``, carry amplitude, so writing the uniform
+    block there is ``apply_permutation`` bit for bit, and the oracle's image is never built.
     """
     in_w, out_w = _widths(n_to_factor, n)
     total = in_w + out_w
@@ -192,7 +192,8 @@ def run_once_full(
         )
     oracle = modexp_oracle(a, n_to_factor, in_w, out_w)
 
-    images = oracle.table[: 1 << in_w].copy()  # where |x, 0> goes: the nonzero amplitudes
+    # where |x, 0> goes, the oracle's table[: 2**in_w]: the nonzero amplitudes
+    images = (oracle.f_table << in_w) | np.arange(1 << in_w, dtype=np.int64)
     del oracle
     state = basis_state(total, 0, max_qubits=max_qubits)
     state.amplitudes[0] = 0.0  # |0, 0> moves to |0, f(0)> = |0, 1>

@@ -185,7 +185,7 @@ class BasisPermutation:
 
     Bijectivity is checked once at construction; applying a permutation is a
     pure index shuffle and introduces no floating-point error.  The XOR
-    oracle (``oracle._xor_image``) proves its image a bijection on its f-table.
+    oracle's subclass (``oracle.XorPermutation``) is checked on its f-table.
     """
 
     __slots__ = ("table", "num_qubits")
@@ -204,14 +204,6 @@ class BasisPermutation:
         t.setflags(write=False)
         self.table = t
         self.num_qubits = size.bit_length() - 1
-
-    @classmethod
-    def _checked_by_caller(cls, table: np.ndarray) -> "BasisPermutation":
-        """Adopt, uncopied and read-only, a contiguous int64 table proved a bijection."""
-        perm = cls.__new__(cls)
-        table.setflags(write=False)
-        perm.table, perm.num_qubits = table, table.size.bit_length() - 1
-        return perm
 
     @classmethod
     def from_function(cls, num_qubits: int, fn) -> "BasisPermutation":
@@ -420,14 +412,15 @@ class QuantumState:
     def measure_subregister(self, qubits, rng: np.random.Generator) -> MeasurementOutcome:
         """Measure the listed qubits; bit i of the outcome is qubit ``qubits[i]``.
 
-        The ``(2,)*n`` view is transposed once so the measured axes lead,
+        The state collapses to the renormalized projection onto the observed
+        outcome: its block is divided by the exact square root of the outcome
+        mass, and every other amplitude is zeroed.  The top qubits ``n-k ..
+        n-1`` in order are drawn by ``_draw_top``, and outcome v's block is the
+        slice ``[v << (n-k), (v+1) << (n-k))``.  For any other list the
+        ``(2,)*n`` view is transposed once so the measured axes lead,
         ``qubits[-1]`` first, and the rest follow in order: the index of the
-        leading axes spells the outcome and the marginal is a sum over the
-        trailing ones; the top qubits ``n-k .. n-1`` in order are drawn by
-        ``_draw_top``, any other list through ``sample_indices``.  The state
-        collapses to the renormalized projection onto the observed outcome:
-        that block of the transposed view is kept, divided by the exact square
-        root of the outcome mass, and every other amplitude is zeroed.
+        leading axes spells the outcome, the marginal is a sum over the
+        trailing ones, and ``sample_indices`` draws from it.
         """
         qubits = [int(q) for q in qubits]
         if len(set(qubits)) != len(qubits):
@@ -436,15 +429,18 @@ class QuantumState:
             self._check_qubit(q)
 
         n, k = self.num_qubits, len(qubits)
-        measured = [n - 1 - q for q in reversed(qubits)]
-        order = measured + [ax for ax in range(n) if ax not in measured]
         if qubits == list(range(n - k, n)):
             outcome, p = _draw_top(self.amplitudes, k, rng.random())
-        else:
-            probs = self.probabilities().reshape((2,) * n).transpose(order)
-            marginal = probs.sum(axis=tuple(range(k, n))).reshape(-1)
-            outcome = int(sample_indices(marginal, rng.random()))
-            p = float(marginal[outcome])
+            lo, hi = outcome << (n - k), (outcome + 1) << (n - k)
+            np.divide(self.amplitudes[lo:hi], np.sqrt(p), out=self.amplitudes[lo:hi])
+            self.amplitudes[:lo] = self.amplitudes[hi:] = 0.0
+            return MeasurementOutcome(outcome, p)
+        measured = [n - 1 - q for q in reversed(qubits)]
+        order = measured + [ax for ax in range(n) if ax not in measured]
+        probs = self.probabilities().reshape((2,) * n).transpose(order)
+        marginal = probs.sum(axis=tuple(range(k, n))).reshape(-1)
+        outcome = int(sample_indices(marginal, rng.random()))
+        p = float(marginal[outcome])
         view = self.amplitudes.reshape((2,) * n).transpose(order)
         block = view[(*((outcome >> i) & 1 for i in reversed(range(k))), ...)]
         kept = block / np.sqrt(p)

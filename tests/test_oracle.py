@@ -22,6 +22,8 @@ from shorsim import circuit as circ
 from shorsim.oracle import _xor_image
 from shorsim.selftest import _truth_table_circuit
 
+from conftest import traced_peak
+
 
 class TestXorOracle:
     def test_zero_function_is_identity(self):
@@ -207,6 +209,15 @@ class TestModexpOracle:
         assume(math.gcd(a, n) == 1)
         perm = modexp_oracle(a, n, in_w, (n - 1).bit_length() + spare)
         assert BasisPermutation(perm.table.copy()) == perm
+
+    def test_image_is_built_on_first_read(self):
+        # N=77 runs 13 + 7 qubits: the image is 8 MiB of int64, the f-table 64 KiB
+        with traced_peak() as peak:
+            perm = modexp_oracle(2, 77, 13, 7)
+        assert peak.bytes <= 1 << 19
+        per_x = xor_oracle(ReversibleFunction(13, 7, lambda xv: pow(2, xv, 77)))
+        np.testing.assert_array_equal(perm.table, per_x.table)
+        assert not perm.f_table.flags.writeable and not perm.table.flags.writeable
 
     def test_int64_product_guard(self):
         # 3037000501**2 > 2**63: the table's products would overflow int64

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shorsim.numtheory as numtheory_mod
+import shorsim.oracle as oracle_mod
 import shorsim.shor as shor_mod
 from shorsim import (
     Convergent,
@@ -523,3 +524,19 @@ def test_full_mode_factors_from_measurements_alone(n_to_factor, monkeypatch):
             assert record.f_outcome is not None
             assert record.n == choose_register_size(n_to_factor)
             assert record.mode == "full"
+
+
+def test_full_mode_never_builds_the_oracle_image(monkeypatch):
+    # the run scatters at the images of |x, 0>, worked out from the f-table alone
+    def no_image(perm):
+        raise AssertionError("full mode built the oracle's XOR image")
+
+    monkeypatch.setattr(oracle_mod.XorPermutation, "table", property(no_image))
+    for n_to_factor in (15, 21, 33, 35, 39):
+        for seed in range(5):
+            result = run_shor(ShorConfig(n_to_factor, seed=seed, mode="full"))
+            p, q = result.factors
+            assert 1 < p <= q and p * q == n_to_factor, f"{n_to_factor} seed {seed}"
+            for record in result.runs:
+                assert record.mode == "full"
+                assert record.status == STATUS_LUCKY_GCD or record.f_outcome is not None
